@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/parallel.hpp"
+#include "obs/trace.hpp"
 
 namespace qc::emu {
 
@@ -21,32 +22,47 @@ void check_regs(std::initializer_list<RegRef> regs, qubit_t n) {
 }
 
 void Emulator::ensure_scratch() {
-  if (scratch_.size() != sv_->size()) scratch_.assign(sv_->size(), complex_t{});
+  // Uninitialized: the caller's parallel pass does the first touch.
+  if (scratch_.size() != sv_->size()) scratch_ = uninit_aligned_vector<complex_t>(sv_->size());
+}
+
+template <bool Partial, typename Dest>
+void Emulator::permute(const Dest& dest) {
+  const auto a = sv_->amplitudes();
+  const index_t size = a.size();
+  obs::Span span("emu.permute");
+  span.arg("mem_bytes", 2.0 * static_cast<double>(size * sizeof(complex_t)));
+  ensure_scratch();
+  complex_t* out = scratch_.data();
+  if constexpr (Partial) {
+    // Scatter only the support into a zeroed scratch. A collision means
+    // two nonzero amplitudes target the same index — the map is not
+    // injective where it matters; the state is left untouched.
+#pragma omp parallel for if (worth_parallelizing(size))
+    for (index_t i = 0; i < size; ++i) out[i] = complex_t{};
+    std::atomic<bool> collision{false};
+#pragma omp parallel for if (worth_parallelizing(size))
+    for (index_t i = 0; i < size; ++i) {
+      if (a[i] == complex_t{}) continue;
+      const index_t j = dest(i);
+      if (out[j] != complex_t{}) collision.store(true, std::memory_order_relaxed);
+      out[j] = a[i];
+    }
+    if (collision.load()) throw std::logic_error("apply_partial_map: non-injective on support");
+  } else {
+    // A bijection writes every scratch element exactly once.
+#pragma omp parallel for if (worth_parallelizing(size))
+    for (index_t i = 0; i < size; ++i) out[dest(i)] = a[i];
+  }
+  sv_->swap_storage(scratch_);
 }
 
 void Emulator::apply_permutation(const std::function<index_t(index_t)>& f) {
-  ensure_scratch();
-  sim::kernels::apply_permutation(sv_->amplitudes(), {scratch_.data(), scratch_.size()}, f);
+  permute<false>(f);
 }
 
 void Emulator::apply_partial_map(const std::function<index_t(index_t)>& f) {
-  ensure_scratch();
-  const auto a = sv_->amplitudes();
-  const index_t size = a.size();
-  std::fill(scratch_.begin(), scratch_.end(), complex_t{});
-  // Scatter only the support. A collision means two nonzero amplitudes
-  // target the same index — the map is not injective where it matters.
-  std::atomic<bool> collision{false};
-#pragma omp parallel for if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) {
-    if (a[i] == complex_t{}) continue;
-    const index_t j = f(i);
-    if (scratch_[j] != complex_t{}) collision.store(true, std::memory_order_relaxed);
-    scratch_[j] = a[i];
-  }
-  if (collision.load()) throw std::logic_error("apply_partial_map: non-injective on support");
-#pragma omp parallel for if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) a[i] = scratch_[i];
+  permute<true>(f);
 }
 
 void Emulator::multiply(RegRef a, RegRef b, RegRef c) {
@@ -54,15 +70,13 @@ void Emulator::multiply(RegRef a, RegRef b, RegRef c) {
     throw std::invalid_argument("multiply: widths must match");
   check_regs({a, b, c}, sv_->qubits());
   const index_t mask = bits::low_mask(c.width);
-  ensure_scratch();
   // (va, vb, vc) -> (va, vb, vc + va*vb mod 2^w) is bijective for all vc.
-  sim::kernels::apply_permutation(sv_->amplitudes(), {scratch_.data(), scratch_.size()},
-                             [=](index_t i) {
-                               const index_t va = reg_value(i, a);
-                               const index_t vb = reg_value(i, b);
-                               const index_t vc = reg_value(i, c);
-                               return reg_replace(i, c, (vc + va * vb) & mask);
-                             });
+  permute<false>([=](index_t i) {
+    const index_t va = reg_value(i, a);
+    const index_t vb = reg_value(i, b);
+    const index_t vc = reg_value(i, c);
+    return reg_replace(i, c, (vc + va * vb) & mask);
+  });
 }
 
 void Emulator::divide(RegRef a, RegRef b, RegRef c) {
@@ -70,7 +84,7 @@ void Emulator::divide(RegRef a, RegRef b, RegRef c) {
     throw std::invalid_argument("divide: widths must match");
   check_regs({a, b, c}, sv_->qubits());
   const index_t mask = bits::low_mask(c.width);
-  apply_partial_map([=](index_t i) {
+  permute<true>([=](index_t i) {
     const index_t va = reg_value(i, a);
     const index_t vb = reg_value(i, b);
     // b = 0 convention matching the restoring divider: every trial
@@ -88,7 +102,7 @@ void Emulator::add(RegRef a, RegRef b) {
   if (a.width != b.width) throw std::invalid_argument("add: widths must match");
   check_regs({a, b}, sv_->qubits());
   const index_t mask = bits::low_mask(b.width);
-  apply_permutation([=](index_t i) {
+  permute<false>([=](index_t i) {
     return reg_replace(i, b, (reg_value(i, b) + reg_value(i, a)) & mask);
   });
 }
@@ -96,7 +110,7 @@ void Emulator::add(RegRef a, RegRef b) {
 void Emulator::add_constant(RegRef r, index_t k) {
   check_regs({r}, sv_->qubits());
   const index_t mask = bits::low_mask(r.width);
-  apply_permutation(
+  permute<false>(
       [=](index_t i) { return reg_replace(i, r, (reg_value(i, r) + k) & mask); });
 }
 
@@ -104,9 +118,19 @@ void Emulator::apply_function(RegRef in, RegRef out,
                               const std::function<index_t(index_t)>& f) {
   check_regs({in, out}, sv_->qubits());
   const index_t mask = bits::low_mask(out.width);
-  apply_permutation([&, mask](index_t i) {
-    const index_t v = f(reg_value(i, in)) & mask;
-    return reg_replace(i, out, (reg_value(i, out) + v) & mask);
+  // One call of f per input value, not per amplitude: the table has at
+  // most 1/4 of the state's entries, since out.width >= 1.
+  const index_t entries = dim(in.width);
+  uninit_aligned_vector<index_t> table(entries);
+  {
+    obs::Span span("emu.tabulate");
+    span.arg("entries", static_cast<double>(entries));
+#pragma omp parallel for if (worth_parallelizing(entries))
+    for (index_t v = 0; v < entries; ++v) table[v] = f(v) & mask;
+  }
+  const index_t* t = table.data();
+  permute<false>([=](index_t i) {
+    return reg_replace(i, out, (reg_value(i, out) + t[reg_value(i, in)]) & mask);
   });
 }
 
@@ -116,7 +140,7 @@ void Emulator::multiply_mod(RegRef x, index_t k, index_t modulus) {
     throw std::invalid_argument("multiply_mod: modulus out of range");
   if (std::gcd(k % modulus, modulus) != 1)
     throw std::invalid_argument("multiply_mod: k not invertible mod modulus");
-  apply_permutation([=](index_t i) {
+  permute<false>([=](index_t i) {
     const index_t v = reg_value(i, x);
     if (v >= modulus) return i;  // outside the modular domain: identity
     return reg_replace(i, x, (v * k) % modulus);

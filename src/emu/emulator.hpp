@@ -40,6 +40,12 @@ struct RegRef {
 /// out-of-range offset+width would silently corrupt amplitudes.
 void check_regs(std::initializer_list<RegRef> regs, qubit_t n);
 
+/// Every permutation op (apply_permutation, apply_partial_map, multiply,
+/// divide, add, add_constant, apply_function, multiply_mod) scatters
+/// into the emulator's scratch and then swaps it in as the state's
+/// storage: one pass over the state, no copy back. Spans from
+/// state().amplitudes() taken before such an op are stale afterwards
+/// (they point into what is now the scratch); take them again.
 class Emulator {
  public:
   /// Wraps (does not own) the state vector.
@@ -79,7 +85,9 @@ class Emulator {
 
   /// out += f(in) (mod 2^out.width) — bijective for *any* classical f,
   /// the general "evaluate the function per basis state" shortcut that
-  /// covers trigonometric functions and other math (paper §3.1).
+  /// covers trigonometric functions and other math (paper §3.1). f is
+  /// called exactly once per input-register value, possibly from
+  /// several threads at once.
   void apply_function(RegRef in, RegRef out, const std::function<index_t(index_t)>& f);
 
   /// x -> k*x mod modulus for x < modulus (identity above); requires
@@ -114,8 +122,16 @@ class Emulator {
   void ensure_scratch();
   void qft_impl(RegRef r, fft::Sign sign);
 
+  /// The one scatter primitive behind every permutation op: writes
+  /// new[dest(i)] = old[i] into the scratch, then swaps the scratch in
+  /// as the state's storage (one pass, no copy back). Partial: only
+  /// nonzero amplitudes move, into a zeroed scratch, and a collision
+  /// throws std::logic_error before the state is touched.
+  template <bool Partial, typename Dest>
+  void permute(const Dest& dest);
+
   sim::StateVector* sv_;
-  aligned_vector<complex_t> scratch_;
+  uninit_aligned_vector<complex_t> scratch_;
   std::unique_ptr<fft::FftPlan> plan_;  // cached (width, sign)
 };
 

@@ -30,12 +30,14 @@ void Backend::run_highlevel(sim::StateVector&, const Op& op) {
 
 index_t Backend::measure_register(sim::StateVector& sv, RegRef r, double u, bool collapse) {
   // §3.4: one distribution pass, one uniform draw — through the shared
-  // sampler, which never picks a zero-probability outcome.
+  // sampler, which never picks a zero-probability outcome — and one
+  // collapse pass that reuses the outcome's probability.
   const std::vector<double> dist = sv.register_distribution(r.offset, r.width);
   const index_t outcome = sim::SampleCdf::from_weights(dist).sample(u);
-  if (collapse)
-    for (qubit_t j = 0; j < r.width; ++j)
-      sv.collapse(r.offset + j, bits::test(outcome, j) ? 1 : 0);
+  if (collapse) {
+    obs::Span span("sim.collapse");
+    sv.collapse_register(r.offset, r.width, outcome, dist[outcome]);
+  }
   return outcome;
 }
 
@@ -270,8 +272,9 @@ class DistBackendT final : public Backend {
           const index_t o = sim::SampleCdf::from_weights(dist).sample(u);
           if (comm.rank() == 0) outcome = o;
           if (!collapse) return;  // read-only: resident state untouched
-          for (std::size_t j = 0; j < phys.size(); ++j)
-            dsv.collapse(phys[j], bits::test(o, static_cast<qubit_t>(j)) ? 1 : 0);
+          // Every rank holds the same dist, so p needs no collective.
+          obs::Span span("sim.collapse");
+          dsv.collapse_register(phys, o, dist[o]);
         });
         session_->sync();
         snapshot_net();

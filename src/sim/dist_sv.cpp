@@ -74,15 +74,20 @@ double BasicDistStateVector<T>::max_abs_diff(const BasicDistStateVector& other) 
 
 template <typename T>
 double BasicDistStateVector<T>::probability_of_one(qubit_t q) const {
+  return outcome_probability(q, true);
+}
+
+template <typename T>
+double BasicDistStateVector<T>::outcome_probability(qubit_t q, bool one) const {
   double sum = 0;
   if (q < nl_) {
 #pragma omp parallel for reduction(+ : sum) if (worth_parallelizing(local_.size()))
     for (index_t i = 0; i < local_.size(); ++i)
-      if (bits::test(i, q)) {
+      if (bits::test(i, q) == one) {
         const double re = local_[i].real(), im = local_[i].imag();
         sum += re * re + im * im;
       }
-  } else if (bits::test(static_cast<index_t>(comm_->rank()), q - nl_)) {
+  } else if (bits::test(static_cast<index_t>(comm_->rank()), q - nl_) == one) {
 #pragma omp parallel for reduction(+ : sum) if (worth_parallelizing(local_.size()))
     for (index_t i = 0; i < local_.size(); ++i) {
       const double re = local_[i].real(), im = local_[i].imag();
@@ -436,27 +441,47 @@ index_t BasicDistStateVector<T>::sample(Rng& rng) const {
 template <typename T>
 void BasicDistStateVector<T>::collapse(qubit_t q, int outcome) {
   if (q >= n_) throw std::invalid_argument("collapse: bad qubit");
-  const double p1 = probability_of_one(q);  // collective: identical on all ranks
-  const double p = outcome == 1 ? p1 : 1.0 - p1;
+  // Collective: identical on all ranks.
+  const double p = outcome_probability(q, outcome == 1);
+  collapse_register(std::span<const qubit_t>(&q, 1), outcome == 1 ? 1 : 0, p);
+}
+
+template <typename T>
+void BasicDistStateVector<T>::collapse_register(std::span<const qubit_t> qubits,
+                                                index_t outcome, double p) {
+  const auto width = static_cast<qubit_t>(qubits.size());
+  if (width == 0 || width > n_ || outcome >= dim(width))
+    throw std::invalid_argument("collapse_register: bad register or outcome");
   if (p < 1e-300) throw std::runtime_error("collapse: zero-probability outcome");
-  const T f = static_cast<T>(1.0 / std::sqrt(p));
-  const bool keep_one = outcome == 1;
-  if (q < nl_) {
-#pragma omp parallel for if (worth_parallelizing(local_.size()))
-    for (index_t i = 0; i < local_.size(); ++i) {
-      if (bits::test(i, q) == keep_one) {
-        local_[i] *= f;
-      } else {
-        local_[i] = value_type{};
-      }
+  // Split the outcome like register_distribution does: global bits are
+  // constant across the chunk (a mismatch zeroes it whole, via f = 0),
+  // local bits become one mask/pattern test per amplitude.
+  const auto rank = static_cast<index_t>(comm_->rank());
+  index_t seen = 0, mask = 0, keep = 0;
+  bool rank_matches = true;
+  for (qubit_t j = 0; j < width; ++j) {
+    const qubit_t q = qubits[j];
+    if (q >= n_ || bits::test(seen, q))
+      throw std::invalid_argument("collapse_register: qubits must be distinct, < n");
+    seen = bits::set(seen, q);
+    const bool want = bits::test(outcome, j);
+    if (q < nl_) {
+      mask = bits::set(mask, q);
+      if (want) keep = bits::set(keep, q);
+    } else if (bits::test(rank, q - nl_) != want) {
+      rank_matches = false;
     }
-    return;
   }
-  // Global qubit: the whole chunk shares the bit value — scale or zero.
-  const bool mine_one = bits::test(static_cast<index_t>(comm_->rank()), q - nl_);
-  const value_type factor = mine_one == keep_one ? value_type{f} : value_type{};
-#pragma omp parallel for if (worth_parallelizing(local_.size()))
-  for (index_t i = 0; i < local_.size(); ++i) local_[i] *= factor;
+  const T f = rank_matches ? static_cast<T>(1.0 / std::sqrt(p)) : T{0};
+  const index_t count = local_.size();
+#pragma omp parallel for if (worth_parallelizing(count))
+  for (index_t i = 0; i < count; ++i) {
+    if ((i & mask) == keep) {
+      local_[i] *= f;
+    } else {
+      local_[i] = value_type{};
+    }
+  }
 }
 
 template <typename T>

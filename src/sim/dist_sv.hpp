@@ -108,8 +108,18 @@ class BasicDistStateVector {
   [[nodiscard]] index_t sample(Rng& rng) const;
 
   /// Collective: collapses qubit q to `outcome` (0/1) and renormalizes.
-  /// Throws if the outcome has probability ~0 (on every rank alike).
+  /// Throws if the outcome has probability ~0 (on every rank alike). The
+  /// outcome's probability is reduced directly (not as 1 - p(other)), so
+  /// a drifted norm still ends at 1.
   void collapse(qubit_t q, int outcome);
+
+  /// Collapses the register over physical positions `qubits` (bit j of
+  /// `outcome` reads `qubits[j]`, as in register_distribution) in one
+  /// local pass per rank with no communication: amplitudes matching the
+  /// outcome are scaled by 1/sqrt(p), the rest zeroed. `p` must be the
+  /// same on every rank — the outcome's entry of the register
+  /// distribution every rank already holds. Throws if p is ~0.
+  void collapse_register(std::span<const qubit_t> qubits, index_t outcome, double p);
 
   /// Collective: gathers the full state on every rank (test helper;
   /// only sensible for small n).
@@ -122,6 +132,9 @@ class BasicDistStateVector {
   [[nodiscard]] std::uint64_t bytes_communicated() const noexcept { return bytes_comm_; }
 
  private:
+  /// Collective: probability that qubit q reads `one`.
+  [[nodiscard]] double outcome_probability(qubit_t q, bool one) const;
+
   void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask,
                             index_t global_cmask_bits);
 

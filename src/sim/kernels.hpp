@@ -253,22 +253,9 @@ void apply_qubit_swaps(std::span<basic_complex_t<T>> a, qubit_t n,
                        std::span<const std::array<qubit_t, 2>> pairs);
 
 // ---------------------------------------------------------------------
-// Permutation / phase templates (inlined per callsite; used by the
-// emulator's classical-function shortcut and by tests).
+// Phase template (inlined per callsite; used by the emulator's phase
+// shortcuts and by tests).
 // ---------------------------------------------------------------------
-
-/// Permutes amplitudes: new[f(i)] = old[i]. `f` must be a bijection on
-/// [0, a.size()); scratch must be the same size as a.
-template <typename T, typename F>
-void apply_permutation(std::span<basic_complex_t<T>> a, std::span<basic_complex_t<T>> scratch,
-                       F&& f) {
-  assert(scratch.size() == a.size());
-  const index_t size = a.size();
-#pragma omp parallel for if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) scratch[f(i)] = a[i];
-#pragma omp parallel for if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) a[i] = scratch[i];
-}
 
 /// Multiplies each amplitude by a per-index factor: a[i] *= f(i).
 template <typename T, typename F>

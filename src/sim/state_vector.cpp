@@ -106,10 +106,15 @@ double BasicStateVector<T>::max_abs_diff(const BasicStateVector& other) const {
 template <typename T>
 double BasicStateVector<T>::probability_of_one(qubit_t q) const {
   if (q >= n_) throw std::invalid_argument("probability_of_one: bad qubit");
+  return outcome_probability(q, true);
+}
+
+template <typename T>
+double BasicStateVector<T>::outcome_probability(qubit_t q, bool one) const {
   double sum = 0;
 #pragma omp parallel for reduction(+ : sum) if (worth_parallelizing(size()))
   for (index_t i = 0; i < size(); ++i)
-    if (bits::test(i, q)) {
+    if (bits::test(i, q) == one) {
       const double re = data_[i].real(), im = data_[i].imag();
       sum += re * re + im * im;
     }
@@ -161,19 +166,33 @@ int BasicStateVector<T>::measure_and_collapse(qubit_t q, Rng& rng) {
 template <typename T>
 void BasicStateVector<T>::collapse(qubit_t q, int outcome) {
   if (q >= n_) throw std::invalid_argument("collapse: bad qubit");
-  const double p1 = probability_of_one(q);
-  const double p = outcome == 1 ? p1 : 1.0 - p1;
+  collapse_register(q, 1, outcome == 1 ? 1 : 0, outcome_probability(q, outcome == 1));
+}
+
+template <typename T>
+void BasicStateVector<T>::collapse_register(qubit_t offset, qubit_t width, index_t outcome,
+                                            double p) {
+  if (width == 0 || offset + width > n_ || outcome >= dim(width))
+    throw std::invalid_argument("collapse_register: bad register or outcome");
   if (p < 1e-300) throw std::runtime_error("collapse: zero-probability outcome");
   const T f = static_cast<T>(1.0 / std::sqrt(p));
-  const bool keep_one = outcome == 1;
+  const index_t mask = bits::low_mask(width) << offset;
+  const index_t keep = outcome << offset;
 #pragma omp parallel for if (worth_parallelizing(size()))
   for (index_t i = 0; i < size(); ++i) {
-    if (bits::test(i, q) == keep_one) {
+    if ((i & mask) == keep) {
       data_[i] *= f;
     } else {
       data_[i] = value_type{};
     }
   }
+}
+
+template <typename T>
+void BasicStateVector<T>::swap_storage(uninit_aligned_vector<value_type>& other) {
+  if (other.size() != data_.size())
+    throw std::invalid_argument("swap_storage: size mismatch");
+  data_.swap(other);
 }
 
 template class BasicStateVector<float>;

@@ -83,8 +83,23 @@ class BasicStateVector {
   int measure_and_collapse(qubit_t q, Rng& rng);
 
   /// Collapses qubit q to `outcome` (0/1) and renormalizes. Throws if the
-  /// outcome has probability ~0.
+  /// outcome has probability ~0. The outcome's probability is summed
+  /// directly (not taken as 1 - p(other)), so a state whose norm has
+  /// drifted from 1 still ends at unit norm.
   void collapse(qubit_t q, int outcome);
+
+  /// Collapses the `width`-bit register at `offset` onto `outcome` in one
+  /// pass: amplitudes whose register field equals `outcome` are scaled by
+  /// 1/sqrt(p), all others zeroed. `p` is the outcome's probability, e.g.
+  /// register_distribution(offset, width)[outcome] — passing it in saves
+  /// the per-qubit probability passes. Throws if p is ~0.
+  void collapse_register(qubit_t offset, qubit_t width, index_t outcome, double p);
+
+  /// Exchanges the amplitude storage with `other` (which must hold
+  /// size() elements) in O(1): an out-of-place pass writes its result
+  /// into `other` and swaps it in instead of copying it back. Spans from
+  /// amplitudes() taken before the swap then point into `other`.
+  void swap_storage(uninit_aligned_vector<value_type>& other);
 
   /// Precision-converting copy (fp64 <-> fp32): the engine's
   /// convert-at-segment-boundary strategy narrows the host state once
@@ -104,6 +119,9 @@ class BasicStateVector {
   /// Parallel zero fill with the kernels' static schedule, so page first
   /// touch (NUMA placement) matches the threads that later sweep them.
   void zero_fill();
+
+  /// Probability that qubit q reads `one` — one reduction pass.
+  [[nodiscard]] double outcome_probability(qubit_t q, bool one) const;
 
   qubit_t n_;
   uninit_aligned_vector<value_type> data_;

@@ -398,6 +398,49 @@ TEST(DistMeasurement, CollapseMatchesSerialOnLocalAndGlobalQubit) {
   }
 }
 
+TEST(DistMeasurement, CollapseOfDriftedNormEndsAtUnitNorm) {
+  // Regression: p(0) = 1 - p(1) assumed a unit norm.
+  const qubit_t n = 8;
+  const double scale = std::sqrt(1.0 + 1e-5);
+  for (const qubit_t q : {qubit_t{2}, qubit_t{7}}) {  // local and global
+    cluster::Cluster cluster(4, 1);
+    cluster.run([&](cluster::Comm& comm) {
+      DistStateVector dsv(comm, n);
+      dsv.randomize(61);
+      for (complex_t& a : dsv.local()) a *= scale;
+      dsv.collapse(q, 0);
+      EXPECT_NEAR(dsv.norm_sq(), 1.0, 1e-12) << "q=" << q;
+    });
+  }
+}
+
+TEST(DistMeasurement, RegisterCollapseMatchesSerialPerQubitCollapse) {
+  // Physical positions in a scrambled order that straddle the
+  // local/global split at every rank count (bit j of the outcome reads
+  // qubits[j]), and a mixed-bit outcome.
+  const qubit_t n = 8;
+  const std::array<qubit_t, 3> qubits{7, 3, 5};
+  const index_t outcome = 0b101;
+  StateVector serial(n);
+  serial.randomize_deterministic(57);
+  for (std::size_t j = 0; j < qubits.size(); ++j)
+    serial.collapse(qubits[j], bits::test(outcome, static_cast<qubit_t>(j)) ? 1 : 0);
+  for (const int ranks : {1, 2, 4, 8}) {
+    cluster::Cluster cluster(ranks, 1);
+    cluster.run([&](cluster::Comm& comm) {
+      DistStateVector dsv(comm, n);
+      dsv.randomize(57);
+      const std::vector<double> dist = dsv.register_distribution(qubits);
+      dsv.collapse_register(qubits, outcome, dist[outcome]);
+      EXPECT_NEAR(dsv.norm_sq(), 1.0, 1e-12);
+      const StateVector gathered = dsv.gather_all();
+      if (comm.rank() == 0) {
+        EXPECT_LT(gathered.max_abs_diff(serial), 1e-12) << "ranks=" << ranks;
+      }
+    });
+  }
+}
+
 TEST(DistMeasurement, CollapseZeroProbabilityThrows) {
   cluster::Cluster cluster(2, 1);
   EXPECT_THROW(cluster.run([](cluster::Comm& comm) {

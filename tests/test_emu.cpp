@@ -5,6 +5,7 @@
 // contract (§3).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "circuit/builders.hpp"
@@ -212,6 +213,25 @@ TEST(Emulator, ApplyFunctionIsBijectiveForAnyF) {
     return (16 - (v * v + 3) % 7) & 15;  // additive inverse mod 16
   });
   EXPECT_LT(sv.max_abs_diff(ref), 1e-12);
+}
+
+TEST(Emulator, ApplyFunctionCallsFOncePerInputValue) {
+  // f is tabulated once per input-register value, not per amplitude.
+  StateVector sv = random_state(10, 45);
+  StateVector ref = random_state(10, 45);
+  Emulator emu(sv);
+  std::atomic<index_t> calls{0};
+  const auto f = [&calls](index_t v) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return v * 5 + 1;
+  };
+  emu.apply_function({2, 6}, {8, 2}, f);
+  EXPECT_EQ(calls.load(), dim(6));
+  // Same result as the per-amplitude definition out += f(in).
+  for (index_t i = 0; i < sv.size(); ++i) {
+    const index_t out = (reg_value(i, {8, 2}) + reg_value(i, {2, 6}) * 5 + 1) & 3;
+    EXPECT_EQ(sv[reg_replace(i, {8, 2}, out)], ref[i]) << i;
+  }
 }
 
 TEST(Emulator, MultiplyModPermutesModularDomain) {

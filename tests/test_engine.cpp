@@ -8,6 +8,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "emu/emulator.hpp"
 #include "emu/observables.hpp"
 #include "engine/engine.hpp"
 #include "models/perf_model.hpp"
@@ -250,6 +251,34 @@ TEST(Agreement, ArithmeticAddMultiplyDivide) {
   expect_backends_agree(q, "hpc");
 }
 
+TEST(Agreement, EmulatorOpChainMatchesLoweredRun) {
+  // add -> multiply_mod -> apply_function -> qft(sub) -> inverse_qft on
+  // ONE Emulator: every permutation op swaps the state's storage with the
+  // emulator's scratch, so the chain runs on alternating buffers.
+  const qubit_t n = 8;
+  const RegRef a{0, 3}, b{3, 3}, out{6, 2};
+  const auto f = [](index_t v) { return (v * v + 1) % 4; };
+  Circuit prep(n);  // a in 0..3 keeps b < 5 for the modular lowering
+  for (const qubit_t q : {0, 1, 6, 7}) prep.h(q).rz(q, 0.23 * (q + 1));
+  Program p(n);
+  p.gates(prep).add(a, b).multiply_mod(b, 2, 5).apply_function(b, out, f).qft(a).inverse_qft();
+
+  sim::StateVector sv(n);
+  sim::HpcSimulator().run(sv, prep);
+  emu::Emulator em(sv);
+  em.add(a, b);
+  em.multiply_mod(b, 2, 5);
+  em.apply_function(b, out, f);
+  em.qft(a);
+  em.inverse_qft();
+
+  RunOptions hpc_opts;
+  hpc_opts.backend = "hpc";
+  const Result g = Engine().run(p, hpc_opts);
+  EXPECT_LT(sv.max_abs_diff(g.state), 1e-12);
+  EXPECT_NEAR(sv.norm_sq(), 1.0, 1e-12);
+}
+
 TEST(Agreement, PhaseFunctionSmallRegister) {
   Program p(6);
   p.gates(prep_circuit(6)).phase_function([](index_t i) {
@@ -351,6 +380,7 @@ Program dist_test_program(qubit_t n) {
   p.gates(prep_circuit(n))
       .expectation_z(bits::low_mask(n) & 0b1011)
       .measure({0, 2})
+      .measure({static_cast<qubit_t>(n - 3), 3})  // straddles the split at 2 and 4 ranks
       .h(n - 1)
       .cr(0, n - 1, 0.41)
       .measure({static_cast<qubit_t>(n - 2), 2});

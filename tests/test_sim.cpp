@@ -115,6 +115,53 @@ TEST(StateVector, CollapseZeroProbabilityThrows) {
   EXPECT_THROW(sv.collapse(0, 1), std::runtime_error);
 }
 
+TEST(StateVector, CollapseOfDriftedNormEndsAtUnitNorm) {
+  // p(0) is summed directly, not taken as 1 - p(1), which would leave
+  // a state whose norm drifted from 1 (e.g. a widened fp32 state) off 1.
+  StateVector sv = random_state(6, 21);
+  const double scale = std::sqrt(1.0 + 1e-5);
+  for (complex_t& a : sv.amplitudes()) a *= scale;
+  ASSERT_NEAR(sv.norm_sq(), 1.0 + 1e-5, 1e-12);
+  sv.collapse(3, 0);
+  EXPECT_NEAR(sv.norm_sq(), 1.0, 1e-12);
+}
+
+/// collapse_register against the per-qubit collapse sequence, on a
+/// register with offset > 0, width 3 and a mixed-bit outcome.
+template <typename T>
+void expect_register_collapse_matches_per_qubit(double tol) {
+  const qubit_t n = 9, offset = 2, width = 3;
+  const index_t outcome = 0b101;
+  BasicStateVector<T> ref(n);
+  ref.randomize_deterministic(77);
+  BasicStateVector<T> sv = ref.template cast<T>();
+  for (qubit_t j = 0; j < width; ++j) ref.collapse(offset + j, bits::test(outcome, j) ? 1 : 0);
+  const std::vector<double> dist = sv.register_distribution(offset, width);
+  sv.collapse_register(offset, width, outcome, dist[outcome]);
+  EXPECT_LT(sv.max_abs_diff(ref), tol);
+  EXPECT_NEAR(sv.norm_sq(), 1.0, tol);
+  for (index_t i = 0; i < sv.size(); ++i) {
+    if (bits::field(i, offset, width) != outcome) EXPECT_EQ(sv[i], basic_complex_t<T>{}) << i;
+  }
+}
+
+TEST(StateVector, RegisterCollapseMatchesPerQubitCollapseF64) {
+  expect_register_collapse_matches_per_qubit<double>(1e-12);
+}
+
+TEST(StateVector, RegisterCollapseMatchesPerQubitCollapseF32) {
+  // Per-qubit collapse rescales three times in float, the register
+  // collapse once: the two round differently, so the fp32 gate applies.
+  expect_register_collapse_matches_per_qubit<float>(1e-6);
+}
+
+TEST(StateVector, RegisterCollapseRejectsBadInput) {
+  StateVector sv = random_state(5, 3);
+  EXPECT_THROW(sv.collapse_register(3, 3, 0, 0.5), std::invalid_argument);  // past n
+  EXPECT_THROW(sv.collapse_register(0, 2, 4, 0.5), std::invalid_argument);  // outcome
+  EXPECT_THROW(sv.collapse_register(0, 2, 1, 0.0), std::runtime_error);     // p ~ 0
+}
+
 TEST(StateVector, MeasureAndCollapseIsConsistent) {
   Rng rng(13);
   StateVector sv = random_state(4, 13);
