@@ -1,6 +1,10 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
+#include <type_traits>
 
 namespace qc {
 
@@ -34,16 +38,36 @@ std::optional<std::string> Cli::get(const std::string& name) const {
   return std::nullopt;
 }
 
+namespace {
+
+/// Parses all of `text` with strtol/strtod; trailing garbage, an empty
+/// number, overflow or a non-finite double throw std::invalid_argument
+/// naming the option.
+template <typename T, typename Parse>
+T parse_number(const std::string& name, const std::string& text, const char* kind, Parse parse) {
+  errno = 0;
+  char* end = nullptr;
+  const T value = parse(text.c_str(), &end);
+  bool ok = end != text.c_str() && *end == '\0' && errno != ERANGE;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) throw std::invalid_argument("--" + name + ": expected " + kind + ", got '" + text + "'");
+  return value;
+}
+
+}  // namespace
+
 long Cli::get_int(const std::string& name, long fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtol(v->c_str(), nullptr, 10);
+  return parse_number<long>(name, *v, "an integer",
+                            [](const char* s, char** end) { return std::strtol(s, end, 10); });
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return parse_number<double>(name, *v, "a number",
+                              [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 std::string Cli::get_string(const std::string& name, std::string fallback) const {

@@ -23,6 +23,9 @@ class Cli {
   /// Value of `--name` or nullopt.
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
 
+  /// Numeric value of `--name`, or `fallback` when absent or bare. A
+  /// value that is not entirely a number in range (e.g. "abc", "12x",
+  /// "1e999") throws std::invalid_argument naming the option.
   [[nodiscard]] long get_int(const std::string& name, long fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] std::string get_string(const std::string& name, std::string fallback) const;

@@ -171,37 +171,18 @@ void Emulator::qft_impl(RegRef r, fft::Sign sign) {
   check_regs({r}, sv_->qubits());
   if (plan_ == nullptr || plan_->qubits() != r.width || plan_->sign() != sign)
     plan_ = std::make_unique<fft::FftPlan>(r.width, sign);
-
   const auto a = sv_->amplitudes();
-  if (r.width == sv_->qubits()) {
-    // Whole register: the paper's Eq. (4) is literally one FFT call,
-    // ping-ponged through our scratch (Stockham — no bit reversal).
-    ensure_scratch();
-    plan_->execute(a, {scratch_.data(), scratch_.size()}, fft::Norm::Unitary);
-    return;
-  }
-  // Sub-register: batched strided FFT. For every assignment of the high
-  // and low spectator bits, gather the 2^w register slice, transform,
-  // scatter back. Batches are independent -> parallel across batches.
-  const qubit_t n = sv_->qubits();
-  const index_t reg_size = dim(r.width);
-  const index_t lo_count = index_t{1} << r.offset;
-  const index_t hi_count = index_t{1} << (n - r.offset - r.width);
-  const index_t batches = lo_count * hi_count;
-  const double unit = 1.0 / std::sqrt(static_cast<double>(reg_size));
-#pragma omp parallel
-  {
-    aligned_vector<complex_t> tmp(reg_size);
-#pragma omp for schedule(static)
-    for (index_t bidx = 0; bidx < batches; ++bidx) {
-      const index_t hi = bidx / lo_count;
-      const index_t lo = bidx % lo_count;
-      const index_t base = (hi << (r.offset + r.width)) | lo;
-      for (index_t k = 0; k < reg_size; ++k) tmp[k] = a[base | (k << r.offset)];
-      plan_->execute({tmp.data(), tmp.size()}, fft::Norm::None);
-      for (index_t k = 0; k < reg_size; ++k) a[base | (k << r.offset)] = tmp[k] * unit;
-    }
-  }
+  const auto size = static_cast<double>(a.size());
+  obs::Span span("emu.qft");
+  span.arg("width", r.width);
+  span.arg("batches", size / static_cast<double>(dim(r.width)));
+  span.arg("mem_bytes", 4.0 * size * sizeof(complex_t));  // two passes, each read + write
+  span.arg("flops", 5.0 * size * r.width);
+  // The whole register is the paper's Eq. (4) as one FFT; a sub-register
+  // at [offset, offset + width) is the same transform batched at stride
+  // 2^offset over the spectator bits, run in place without a gather.
+  ensure_scratch();
+  plan_->execute_batched(a, {scratch_.data(), scratch_.size()}, r.offset, fft::Norm::Unitary);
 }
 
 }  // namespace qc::emu

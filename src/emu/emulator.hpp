@@ -113,8 +113,10 @@ class Emulator {
   /// Inverse of qft().
   void inverse_qft();
 
-  /// QFT on a sub-register: a batched FFT over the register dimension
-  /// for every assignment of the remaining qubits.
+  /// QFT on a sub-register: one batched FFT over the register dimension
+  /// for every assignment of the remaining qubits, run in place at
+  /// stride 2^offset by the plan's two-pass four-step (its plan holds
+  /// O(2^(width/2)) twiddles, so a sign flip rebuilds it cheaply).
   void qft(RegRef r);
   void inverse_qft(RegRef r);
 
@@ -132,7 +134,7 @@ class Emulator {
 
   sim::StateVector* sv_;
   uninit_aligned_vector<complex_t> scratch_;
-  std::unique_ptr<fft::FftPlan> plan_;  // cached (width, sign)
+  std::unique_ptr<fft::FftPlan> plan_;  // cached (width, sign); O(sqrt) twiddles
 };
 
 /// Field extraction helpers shared with benches/tests.

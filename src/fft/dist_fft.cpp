@@ -118,15 +118,11 @@ DistFftStats dist_fft(cluster::Comm& comm, std::span<complex_t> local, qubit_t n
   dist_transpose_with_buffers(comm, local, work, rows, cols, sendbuf, recvbuf);
   stats.transpose_seconds += timer.seconds();
 
-  // Step 2: local R-point FFT over g1 for each owned g2-row.
+  // Step 2: local R-point FFT over g1 for each owned g2-row, as one
+  // batched transform (sendbuf is idle until the next transpose).
   comm.barrier();
   timer.reset();
-  {
-    const index_t nrows = cols / static_cast<index_t>(p);
-#pragma omp parallel for schedule(static) if (nrows > 1)
-    for (index_t g2 = 0; g2 < nrows; ++g2)
-      plan_r.execute(std::span<complex_t>(work.data() + g2 * rows, rows));
-  }
+  plan_r.execute_batched(work, sendbuf, 0, Norm::None);
   stats.local_fft_seconds += timer.seconds();
 
   // Step 3: twiddle by w_N^(g2 * k1), g2 global. Incremental rotation
@@ -165,12 +161,7 @@ DistFftStats dist_fft(cluster::Comm& comm, std::span<complex_t> local, qubit_t n
   // Step 5: local C-point FFT over g2 for each owned k1-row.
   comm.barrier();
   timer.reset();
-  {
-    const index_t nrows = rows / static_cast<index_t>(p);
-#pragma omp parallel for schedule(static) if (nrows > 1)
-    for (index_t k1 = 0; k1 < nrows; ++k1)
-      plan_c.execute(std::span<complex_t>(local.data() + k1 * cols, cols));
-  }
+  plan_c.execute_batched(local, sendbuf, 0, Norm::None);
   stats.local_fft_seconds += timer.seconds();
 
   // Step 6: final transpose R x C -> C x R delivers natural order

@@ -2,11 +2,15 @@
 //
 // The paper's §3.2 replaces the O(n^2)-gate quantum Fourier transform
 // circuit with one classical FFT over the 2^n-entry state vector. No FFT
-// library is available offline, so this module implements the transform
-// from scratch: an iterative radix-2 decimation-in-time FFT with a
-// precomputed twiddle table (plan-based, like FFTW), OpenMP-parallel over
-// butterfly blocks, with both sign conventions and optional unitary
-// normalization.
+// library is available offline, so this module implements it from
+// scratch as a two-pass four-step FFT (the node-local form of dist_fft's
+// Eq. 5 split) over the 2^n points viewed as a 2^n1 x 2^n2 matrix: pass 1
+// runs the column FFTs on tiles of 8 contiguous columns and applies the
+// W_N^(j2*k1) twiddles (data -> scratch); pass 2 runs the row FFTs 8 rows
+// at a time and writes them transposed into natural order, normalized
+// (scratch -> data). In a tile each lane is a radix-4 Stockham FFT on
+// split re/im arrays, vectorized across lanes. Up to 2^11 points, pass 1
+// alone does the transform. A plan holds O(sqrt N) twiddles.
 //
 // Convention: Sign::Negative computes y_k = sum_l x_l exp(-2*pi*i*k*l/N)
 // (the classical "forward" DFT); Sign::Positive uses exp(+...). The QFT
@@ -33,60 +37,69 @@ constexpr Sign opposite(Sign s) noexcept {
   return s == Sign::Negative ? Sign::Positive : Sign::Negative;
 }
 
-/// Butterfly schedule. The transform is memory-bound at state-vector
-/// sizes, so fusing two radix-2 stages into one sweep (a radix-2^2 /
-/// radix-4-style pass: 4 loads + 4 stores per 2 stages instead of 8+8)
-/// nearly halves traffic; the ablation bench quantifies it. The
-/// Stockham schedule additionally removes the bit-reversal permutation
-/// (a random scatter that costs ~40% of the in-place transform at
-/// state-vector sizes) by ping-ponging between the data and a scratch
-/// buffer with purely sequential sweeps, and folds the normalization
-/// into the final pass.
+/// Butterfly schedule. SingleStage and FusedPairs sweep the whole array
+/// in place after a bit-reversal permutation, one or two radix-2 stages
+/// per sweep. Stockham is the two-pass four-step above: two sweeps
+/// through a scratch buffer, self-sorting, with radix-4 Stockham FFTs
+/// inside cache-resident tiles.
 enum class Schedule {
   SingleStage,  ///< One in-place sweep per radix-2 stage (textbook).
   FusedPairs,   ///< Two stages per in-place sweep where possible.
-  Stockham,     ///< Self-sorting out-of-place fused pairs (default).
+  Stockham,     ///< Two-pass four-step through a scratch buffer (default).
 };
 
-/// Reusable transform plan for a fixed size and sign. Holds the twiddle
-/// table (N/2 entries) so repeated transforms (e.g. every QFT emulation
-/// in a sweep) pay the trigonometry once.
+/// Reusable transform plan for a fixed size and sign. Holds O(sqrt N)
+/// twiddles, so repeated transforms pay the trigonometry once and a
+/// rebuild (e.g. on a QFT -> inverse QFT sign flip) is cheap.
 class FftPlan {
  public:
   /// Plan for transforms of 2^n_qubits points with the given sign.
   FftPlan(qubit_t n_qubits, Sign sign, Schedule schedule = Schedule::Stockham);
 
   /// In-place transform of exactly 2^n_qubits points. The Stockham
-  /// schedule ping-pongs through a per-thread scratch buffer (grown on
-  /// demand, reused across calls, capped at 64 MiB — larger transforms
-  /// fall back to the in-place fused-pairs sweeps rather than pinning a
+  /// schedule runs through a per-thread scratch buffer (grown on demand,
+  /// reused across calls, capped at 64 MiB — larger transforms fall back
+  /// to the in-place fused-pairs sweeps rather than pinning a
   /// state-vector-sized buffer per thread).
   void execute(std::span<complex_t> data, Norm norm = Norm::None) const;
 
   /// Same transform with caller-provided scratch (>= data.size();
-  /// distinct from data). Lets long-lived callers (the emulator) reuse
-  /// an existing buffer instead of the per-thread one. Only the
-  /// Stockham schedule touches the scratch; an empty scratch selects
-  /// the in-place fused-pairs fallback.
+  /// distinct from data). Lets long-lived callers reuse an existing
+  /// buffer instead of the per-thread one. Only the Stockham schedule
+  /// touches the scratch; an empty scratch selects the in-place
+  /// fused-pairs fallback.
   void execute(std::span<complex_t> data, std::span<complex_t> scratch, Norm norm) const;
+
+  /// Batched strided transform: for every assignment of the other
+  /// index bits, transforms the 2^n_qubits elements whose indices differ
+  /// only in bits [stride_log, stride_log + n_qubits). data.size() must
+  /// be a power of two and at least 2^(n_qubits + stride_log); scratch as
+  /// above. The norm scales by 2^n_qubits. This is the QFT of a
+  /// sub-register at offset stride_log, with no gather or scatter.
+  void execute_batched(std::span<complex_t> data, std::span<complex_t> scratch,
+                       qubit_t stride_log, Norm norm) const;
 
   [[nodiscard]] qubit_t qubits() const noexcept { return n_; }
   [[nodiscard]] Sign sign() const noexcept { return sign_; }
   [[nodiscard]] Schedule schedule() const noexcept { return schedule_; }
 
  private:
+  [[nodiscard]] complex_t twiddle(index_t e) const noexcept;  // W_N^e, e < N
   void run_stage(complex_t* a, qubit_t s) const;
   void run_fused_pair(complex_t* a, qubit_t s) const;
-  void run_stockham_pair(const complex_t* x, complex_t* z, index_t l, index_t m,
-                         double scale) const;
-  void run_stockham_single(const complex_t* x, complex_t* z, double scale) const;
-  void execute_stockham(std::span<complex_t> data, std::span<complex_t> scratch,
-                        Norm norm) const;
+  void four_step(complex_t* data, complex_t* scratch, index_t size, qubit_t stride_log,
+                 double scale) const;
 
   qubit_t n_;
+  qubit_t n1_;  // column-FFT length 2^n1_ (pass 1)
+  qubit_t n2_;  // row-FFT length 2^n2_ (pass 2); 0 = one pass
   Sign sign_;
   Schedule schedule_;
-  aligned_vector<complex_t> twiddle_;  // twiddle_[j] = exp(sign*2*pi*i*j/N), j < N/2
+  aligned_vector<complex_t> col_tw_;  // W_{2^n1}^j, j < 2^n1
+  aligned_vector<complex_t> row_tw_;  // W_{2^n2}^j, j < 2^n2
+  aligned_vector<complex_t> lo_tw_;   // W_N^j, j < 2^h (h = ceil(n/2))
+  aligned_vector<complex_t> hi_tw_;   // W_N^(j * 2^h), j < 2^(n-h)
+  aligned_vector<double> lane_tw_;    // W_N^(b * k1), b < 8, k1 < 2^n1 (two-pass); re, then im
 };
 
 /// One-shot in-place FFT (builds a plan internally).

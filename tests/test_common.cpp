@@ -169,6 +169,28 @@ TEST(Cli, EqualsSyntaxAndDoubles) {
   EXPECT_EQ(cli.get_int("reps", 0), 3);
 }
 
+TEST(Cli, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog",        "--qubits", "abc",     "--gates", "12x",  "--big",
+                        "99999999999999999999",    "--dt",    "0.5s",    "--huge", "1e999",
+                        "--neg",       "-4",       "--exp",   "2.5e-3",  "--inf", "inf"};
+  const Cli cli(17, argv);
+  for (const char* name : {"qubits", "gates", "big"}) {
+    try {
+      (void)cli.get_int(name, 0);
+      ADD_FAILURE() << name << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW((void)cli.get_double("dt", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("huge", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("inf", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("exp", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("neg", 0), -4);
+  EXPECT_DOUBLE_EQ(cli.get_double("exp", 0), 2.5e-3);
+  EXPECT_DOUBLE_EQ(cli.get_double("neg", 0), -4.0);
+}
+
 TEST(Table, FormatsAlignedColumns) {
   Table t({"m", "time"});
   t.add_row({"2", "1.5e-3"});

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <numbers>
 
 #include "circuit/builders.hpp"
 #include "emu/emulator.hpp"
+#include "obs/trace.hpp"
 #include "revcirc/arith.hpp"
 #include "sim/simulator.hpp"
 
@@ -364,6 +366,85 @@ TEST(Emulator, SubRegisterQftAtBothEnds) {
     emu.qft(reg);
     EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-11) << "offset=" << reg.offset;
   }
+}
+
+TEST(Emulator, SubRegisterQftAcrossTileWidths) {
+  // Sub-register QFT and inverse QFT at offsets with 1, 2, 4, 8 and 32
+  // low spectator amplitudes: fewer than, as many as, and more than one
+  // FFT tile's 8 lanes.
+  const qubit_t n = 12;
+  for (const qubit_t offset : {0u, 1u, 2u, 3u, 5u}) {
+    for (const qubit_t width : {1u, 2u, 3u, 4u, 7u}) {
+      for (const bool inverse : {false, true}) {
+        const RegRef reg{offset, width};
+        StateVector circuit_sv = random_state(n, 1000 + 16 * offset + width);
+        StateVector emu_sv(n);
+        copy_state(circuit_sv, emu_sv);
+        Circuit mapped(n);
+        std::vector<qubit_t> mapping(width);
+        for (qubit_t i = 0; i < width; ++i) mapping[i] = offset + i;
+        mapped.compose_mapped(inverse ? circuit::inverse_qft(width) : circuit::qft(width), mapping);
+        HpcSimulator().run(circuit_sv, mapped);
+        Emulator emu(emu_sv);
+        inverse ? emu.inverse_qft(reg) : emu.qft(reg);
+        EXPECT_LT(emu_sv.max_abs_diff(circuit_sv), 1e-12)
+            << "offset=" << offset << " width=" << width << " inverse=" << inverse;
+      }
+    }
+  }
+}
+
+TEST(Emulator, QftInverseQftQftMatchesClosedForm) {
+  // One Emulator across two sign flips (its plan is rebuilt each time),
+  // at a size that takes the FFT's two-pass path. Start from
+  // (|x> + i|y>)/sqrt(2); QFT -> iQFT -> QFT leaves its QFT:
+  // (exp(2 pi i x k / N) + i exp(2 pi i y k / N)) / sqrt(2N).
+  const qubit_t n = 14;
+  const index_t x = 37, y = 9001, size = dim(n);
+  StateVector sv(n);
+  auto a = sv.amplitudes();
+  std::fill(a.begin(), a.end(), complex_t{});
+  a[x] = 1.0 / std::sqrt(2.0);
+  a[y] = complex_t{0.0, 1.0 / std::sqrt(2.0)};
+  Emulator emu(sv);
+  emu.qft();
+  emu.inverse_qft();
+  emu.qft();
+  double err = 0;
+  for (index_t k = 0; k < size; ++k) {
+    const double phase = 2.0 * std::numbers::pi / static_cast<double>(size);
+    const complex_t expect =
+        (std::polar(1.0, phase * static_cast<double>(x * k % size)) +
+         complex_t{0.0, 1.0} * std::polar(1.0, phase * static_cast<double>(y * k % size))) /
+        std::sqrt(2.0 * static_cast<double>(size));
+    err = std::max(err, std::abs(sv[k] - expect));
+  }
+  EXPECT_LT(err, 1e-12);
+}
+
+TEST(Emulator, TracedQftEmitsSpanWithCosts) {
+  const qubit_t n = 10;
+  StateVector sv = random_state(n, 7);
+  obs::Tracer tracer;
+  {
+    const obs::ScopedTracer scoped(&tracer);
+    Emulator emu(sv);
+    emu.qft({3, 4});
+    emu.inverse_qft();
+  }
+  const obs::TraceData data = tracer.collect();
+  std::vector<const obs::SpanEvent*> qfts;
+  for (const auto& s : data.spans)
+    if (s.name == "emu.qft") qfts.push_back(&s);
+  ASSERT_EQ(qfts.size(), 2u);
+  const double state_bytes = static_cast<double>(dim(n) * sizeof(complex_t));
+  EXPECT_EQ(qfts[0]->arg("width"), 4);
+  EXPECT_EQ(qfts[0]->arg("batches"), static_cast<double>(dim(n - 4)));
+  EXPECT_EQ(qfts[0]->arg("mem_bytes"), 4 * state_bytes);
+  EXPECT_EQ(qfts[0]->arg("flops"), 5.0 * static_cast<double>(dim(n)) * 4);
+  EXPECT_EQ(qfts[1]->arg("width"), n);
+  EXPECT_EQ(qfts[1]->arg("batches"), 1);
+  EXPECT_EQ(qfts[1]->arg("flops"), 5.0 * static_cast<double>(dim(n)) * n);
 }
 
 TEST(Emulator, QftOnPeriodicStateDetectsPeriod) {
