@@ -78,7 +78,7 @@ void write_json(const std::string& path, qubit_t n, std::size_t gates, qubit_t a
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
@@ -172,3 +172,5 @@ int main(int argc, char** argv) {
     write_json(json_path, n, gates, active, results, t_best_fused, t_best_cached);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -24,7 +24,7 @@
 #include "sched/cached_simulator.hpp"
 #include "sim/simulator.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
@@ -86,3 +86,5 @@ int main(int argc, char** argv) {
               gates);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

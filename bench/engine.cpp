@@ -51,7 +51,7 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 20));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
@@ -113,3 +113,5 @@ int main(int argc, char** argv) {
   std::printf("\n}\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -64,7 +64,7 @@ double time_emulation(qubit_t m) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const bool lower = !cli.has("native-toffoli");
@@ -102,3 +102,5 @@ int main(int argc, char** argv) {
               "qubit doubling the state) with one amplitude permutation.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -79,7 +79,7 @@ double time_emulation(qubit_t m) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const bool lower = !cli.has("native-toffoli");
@@ -111,3 +111,5 @@ int main(int argc, char** argv) {
               "m = %ld (4m+4 qubits).\n", m_sim_max);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

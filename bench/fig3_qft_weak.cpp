@@ -75,7 +75,7 @@ double paper_speedup(int ranks) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const long local_qubits = cli.get_int("local-qubits", full ? 22 : 20);
@@ -109,3 +109,5 @@ int main(int argc, char** argv) {
               "log2(P) exchanges; 6-15x overall.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

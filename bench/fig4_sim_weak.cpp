@@ -12,9 +12,10 @@
 // cut into gate segments with measurements and expectation values
 // interleaved) run on the "dist" backend with its persistent cluster
 // session (one scatter, one gather per run, permutation carried across
-// segments) against the per-op scatter/gather baseline
-// (RunOptions.dist_resident = false, the pre-session behaviour) — the
-// resident-session win, measured rather than asserted.
+// segments). Its measured host staging bytes sit next to the
+// models::t_host_staging_seconds price of the resident run and of a
+// per-op scatter/gather, which stages twice per mutating op and once
+// per read-only op.
 //
 // Usage: fig4_sim_weak [--local-qubits L] [--max-ranks P] [--json FILE]
 //                      [--metrics [FILE]] [--full]
@@ -33,6 +34,7 @@
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "engine/engine.hpp"
+#include "models/perf_model.hpp"
 #include "obs/report.hpp"
 #include "sched/dist_schedule.hpp"
 #include "sim/dist_sv.hpp"
@@ -110,9 +112,9 @@ struct EngineRow {
   qubit_t n;
   int ranks;
   double t_resident;
-  double t_perop;
   std::uint64_t host_resident;  ///< Host<->rank staging bytes, resident run.
-  std::uint64_t host_perop;     ///< Same, per-op baseline.
+  double staging_resident;      ///< Model seconds of the resident run's stagings.
+  double staging_perop;         ///< Model seconds of per-op scatter/gather.
 };
 
 /// The QFT cut into four gate segments with an ExpectationZ between
@@ -143,16 +145,17 @@ EngineRow run_engine_point(qubit_t local_qubits, int ranks) {
   opts.collapse_measurements = false;  // keep the workload purely unitary
   (void)engine::Engine().run(p, opts);  // warm-up
   const engine::Result resident = engine::Engine().run(p, opts);
-  opts.dist_resident = false;
-  const engine::Result perop = engine::Engine().run(p, opts);
-  if (resident.state.max_abs_diff(perop.state) > 1e-10)
-    std::fprintf(stderr, "WARNING: resident and per-op runs disagree\n");
+  // Per-op staging: two per gate segment, one per read-only op (the
+  // measurement does not collapse).
+  std::size_t perop_transfers = 0;
+  for (const engine::Op& op : p.ops())
+    perop_transfers += op.kind == engine::OpKind::GateSegment ? 2 : 1;
   return EngineRow{n,
                    ranks,
                    resident.total_seconds,
-                   perop.total_seconds,
                    resident.host_bytes,
-                   perop.host_bytes};
+                   models::t_host_staging_seconds(n, 2, {}),
+                   models::t_host_staging_seconds(n, perop_transfers, {})};
 }
 
 void write_json(const std::string& path, qubit_t local_qubits, const std::vector<Row>& rows,
@@ -179,18 +182,16 @@ void write_json(const std::string& path, qubit_t local_qubits, const std::vector
                  i + 1 < rows.size() ? "," : "");
   }
   // The resident-session column: the same weak-scaling points run as a
-  // multi-op engine program, resident session vs per-op scatter/gather.
+  // multi-op engine program, with the model's staging prices.
   std::fprintf(f, "  ],\n  \"engine_results\": [\n");
   for (std::size_t i = 0; i < engine_rows.size(); ++i) {
     const EngineRow& r = engine_rows[i];
     std::fprintf(f,
                  "    {\"qubits\": %u, \"ranks\": %d, \"t_resident\": %.6e,"
-                 " \"t_perop_scatter\": %.6e, \"host_bytes_resident\": %llu,"
-                 " \"host_bytes_perop\": %llu}%s\n",
-                 r.n, r.ranks, r.t_resident, r.t_perop,
-                 static_cast<unsigned long long>(r.host_resident),
-                 static_cast<unsigned long long>(r.host_perop),
-                 i + 1 < engine_rows.size() ? "," : "");
+                 " \"host_bytes_resident\": %llu, \"t_staging_model_resident\": %.6e,"
+                 " \"t_staging_model_perop\": %.6e}%s\n",
+                 r.n, r.ranks, r.t_resident, static_cast<unsigned long long>(r.host_resident),
+                 r.staging_resident, r.staging_perop, i + 1 < engine_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -199,7 +200,7 @@ void write_json(const std::string& path, qubit_t local_qubits, const std::vector
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const long local_qubits = cli.get_int("local-qubits", full ? 22 : 20);
@@ -231,21 +232,20 @@ int main(int argc, char** argv) {
               "differ only by local kernel specialization.\n");
 
   std::vector<EngineRow> engine_rows;
-  Table etable({"qubits", "ranks", "T_resident [s]", "T_perop [s]", "speedup",
-                "MB_host_res", "MB_host_perop"});
+  Table etable({"qubits", "ranks", "T_resident [s]", "MB_host_res", "model staging res [s]",
+                "model staging per-op [s]"});
   for (int p = 1; p <= max_ranks; p *= 2) {
     const EngineRow r = run_engine_point(static_cast<qubit_t>(local_qubits), p);
     engine_rows.push_back(r);
     etable.add_row({std::to_string(r.n), std::to_string(r.ranks), sci(r.t_resident),
-                    sci(r.t_perop), fixed(r.t_perop / r.t_resident, 2) + "x",
                     fixed(static_cast<double>(r.host_resident) / 1e6, 1),
-                    fixed(static_cast<double>(r.host_perop) / 1e6, 1)});
+                    sci(r.staging_resident), sci(r.staging_perop)});
   }
   etable.print(
-      "resident cluster session vs per-op scatter/gather — multi-op engine\n"
-      "program (QFT in 4 gate segments + interleaved ExpectationZ + Measure);\n"
-      "the resident run stages the host state exactly twice, the per-op\n"
-      "baseline twice per mutating op plus once per read-only op");
+      "resident cluster session — multi-op engine program (QFT in 4 gate\n"
+      "segments + interleaved ExpectationZ + Measure); the resident run stages\n"
+      "the host state exactly twice, a per-op scatter/gather would stage twice\n"
+      "per mutating op plus once per read-only op (model-priced)");
 
   if (cli.has("metrics")) {
     // One traced run of the largest engine point: the per-rank lane
@@ -285,3 +285,5 @@ int main(int argc, char** argv) {
     write_json(json_path, static_cast<qubit_t>(local_qubits), rows, engine_rows);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

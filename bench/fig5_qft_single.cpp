@@ -27,7 +27,7 @@ double time_qft(const sim::Simulator& simulator, qubit_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const long n_min = cli.get_int("min-qubits", 18);
@@ -59,3 +59,5 @@ int main(int argc, char** argv) {
               max_threads());
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -24,7 +24,7 @@ double time_entangle(const sim::Simulator& simulator, qubit_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const long n_min = cli.get_int("min-qubits", 15);
@@ -53,3 +53,5 @@ int main(int argc, char** argv) {
               "flops) instead of a full masked 2x2 sweep per gate.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

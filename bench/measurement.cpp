@@ -15,7 +15,7 @@
 #include "emu/observables.hpp"
 #include "sim/simulator.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", cli.has("full") ? 24 : 20));
@@ -51,3 +51,5 @@ int main(int argc, char** argv) {
               "full circuit per shot.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

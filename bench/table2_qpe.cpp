@@ -56,7 +56,7 @@ models::QpeCosts scale_up(const models::QpeCosts& c, qubit_t n_from) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
   const qubit_t n_min = static_cast<qubit_t>(cli.get_int("min-qubits", 6));
@@ -110,3 +110,5 @@ int main(int argc, char** argv) {
               "rates relative to MKL on the paper's Xeon.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

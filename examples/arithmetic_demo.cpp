@@ -26,7 +26,7 @@ double op_seconds(const qc::engine::Result& r, std::size_t index) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const qubit_t m = static_cast<qubit_t>(cli.get_int("m", 6));
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
               "exponential simulation cost the emulator never pays)\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

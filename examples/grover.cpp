@@ -19,7 +19,7 @@
 #include "common/cli.hpp"
 #include "engine/engine.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 12));
@@ -75,3 +75,5 @@ int main(int argc, char** argv) {
   std::printf("%s\n", best == marked ? "FOUND the marked item" : "FAILED");
   return best == marked ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -17,7 +17,7 @@
 #include "engine/engine.hpp"
 #include "models/perf_model.hpp"
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 5));
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
                 evolved.expectations[i], evolved.trace[2 * i].seconds);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

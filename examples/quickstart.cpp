@@ -42,7 +42,7 @@ bool write_file(const std::string& path, const std::string& content) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
   const std::string backend = cli.get_string("backend", "hpc");
@@ -139,3 +139,5 @@ int main(int argc, char** argv) {
               tol);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

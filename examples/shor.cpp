@@ -81,7 +81,7 @@ index_t find_order(index_t a, index_t N, Rng& rng, const std::string& backend) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const index_t N = static_cast<index_t>(cli.get_int("N", 15));
   index_t a = static_cast<index_t>(cli.get_int("a", 0));
@@ -141,3 +141,5 @@ int main(int argc, char** argv) {
   std::printf("no factor found (N prime, a prime power, or unlucky sampling)\n");
   return 1;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -39,7 +39,7 @@ index_t pow_mod(index_t base, index_t e, index_t mod) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const index_t N = static_cast<index_t>(cli.get_int("N", 15));
   const index_t a = static_cast<index_t>(cli.get_int("a", 7));
@@ -114,3 +114,5 @@ int main(int argc, char** argv) {
   std::printf("peak spacing 2^t/r reveals the order r of a mod N.\n");
   return max_diff < 1e-6 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 #include <type_traits>
 
@@ -74,6 +76,15 @@ std::string Cli::get_string(const std::string& name, std::string fallback) const
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
   return *v;
+}
+
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argc > 0 ? argv[0] : "qc", e.what());
+    return 2;
+  }
 }
 
 }  // namespace qc

@@ -42,4 +42,11 @@ class Cli {
   std::vector<std::string> positional_;
 };
 
+/// Runs a program's body and turns an escaping std::exception (a
+/// malformed option, a bad backend name, an invalid size) into a
+/// "<program>: error: <what>" line on stderr and exit code 2, instead of
+/// std::terminate. Every example, bench and tool main is
+/// `return qc::run_main(argc, argv, cli_main);`.
+int run_main(int argc, char** argv, int (*body)(int argc, char** argv));
+
 }  // namespace qc

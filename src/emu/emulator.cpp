@@ -176,7 +176,7 @@ void Emulator::qft_impl(RegRef r, fft::Sign sign) {
   obs::Span span("emu.qft");
   span.arg("width", r.width);
   span.arg("batches", size / static_cast<double>(dim(r.width)));
-  span.arg("mem_bytes", 4.0 * size * sizeof(complex_t));  // two passes, each read + write
+  span.arg("mem_bytes", 2.0 * plan_->passes() * size * sizeof(complex_t));  // read + write
   span.arg("flops", 5.0 * size * r.width);
   // The whole register is the paper's Eq. (4) as one FFT; a sub-register
   // at [offset, offset + width) is the same transform batched at stride

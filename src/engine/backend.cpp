@@ -65,22 +65,25 @@ class GateLevelBackend final : public Backend {
   std::unique_ptr<sim::Simulator> sim_;
 };
 
-/// Widens an fp32 working state back into the fp64 host state (the
-/// second half of the convert-at-segment-boundary round trip).
-void widen_into(const sim::BasicStateVector<float>& src, sim::StateVector& dst) {
-  const auto s = src.amplitudes();
-  const auto d = dst.amplitudes();
+/// The single-node backends' one precision-conversion site: narrows the
+/// fp64 host state into an fp32 working copy, runs `run` on its
+/// amplitudes through the float-instantiated kernels, and widens the
+/// result back — two extra state passes per gate segment, amortized over
+/// its gates, while every kernel sweep inside moves half the bytes.
+template <typename F>
+void run_narrowed(sim::StateVector& sv, F&& run) {
+  sim::BasicStateVector<float> work = sv.cast<float>();
+  run(work.amplitudes());
+  const auto s = work.amplitudes();
+  const auto d = sv.amplitudes();
   const index_t count = s.size();
 #pragma omp parallel for schedule(static) if (worth_parallelizing(count))
   for (index_t i = 0; i < count; ++i) d[i] = static_cast<complex_t>(s[i]);
 }
 
-/// Gate-level backend running segments at fp32: the fp64 host state is
-/// narrowed once per segment (BasicStateVector::cast), the segment runs
-/// through the float-instantiated kernels, and the result widens back —
-/// two extra state passes per segment, amortized over its gates, while
-/// every kernel sweep inside moves half the bytes. Measurement ops keep
-/// reading the fp64 host state through the default virtuals.
+/// Gate-level backend running segments at fp32 through run_narrowed.
+/// Measurement ops keep reading the fp64 host state through the default
+/// virtuals.
 class Fp32SegmentBackend final : public Backend {
  public:
   using Runner =
@@ -93,9 +96,7 @@ class Fp32SegmentBackend final : public Backend {
 
   void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
     if (c.empty()) return;
-    sim::BasicStateVector<float> work = sv.cast<float>();
-    runner_(work.amplitudes(), work.qubits(), c);
-    widen_into(work, sv);
+    run_narrowed(sv, [&](std::span<basic_complex_t<float>> a) { runner_(a, sv.qubits(), c); });
   }
 
  private:
@@ -121,9 +122,9 @@ class AutoBackend final : public Backend {
       // (FFTs, permutations) stay fp64 on the host state; only the gate
       // segments between them run through the float kernels.
       if (c.empty()) return;
-      sim::BasicStateVector<float> work = sv.cast<float>();
-      sched::execute_blocked<float>(work.amplitudes(), cached_.plan(c));
-      widen_into(work, sv);
+      run_narrowed(sv, [&](std::span<basic_complex_t<float>> a) {
+        sched::execute_blocked<float>(a, cached_.plan(c));
+      });
       return;
     }
     cached_.run(sv, c);
@@ -194,7 +195,6 @@ class DistBackendT final : public Backend {
   explicit DistBackendT(const RunOptions& opts)
       : ranks_(opts.dist_ranks),
         policy_(opts.dist_policy),
-        resident_mode_(opts.dist_resident),
         timeout_s_(opts.dist_timeout_s),
         ckpt_interval_(opts.dist_checkpoint_interval),
         max_retries_(opts.dist_max_retries) {
@@ -248,7 +248,6 @@ class DistBackendT final : public Backend {
         restore_and_replay();
       }
     }
-    if (!resident_mode_) flush_to_host();
   }
 
   index_t measure_register(sim::StateVector& sv, RegRef r, double u,
@@ -293,16 +292,6 @@ class DistBackendT final : public Backend {
     // cannot reach; re-checkpoint it so later segment retries restore
     // *post*-measurement state.
     if (collapse && checkpoints_enabled()) take_checkpoint();
-    // Per-op baseline fidelity: the pre-session code gathered only when
-    // the op mutated the state — a read-only measure pays its scatter
-    // and drops the chunks.
-    if (!resident_mode_) {
-      if (collapse) {
-        flush_to_host();
-      } else {
-        discard_resident();
-      }
-    }
     return outcome;
   }
 
@@ -332,7 +321,6 @@ class DistBackendT final : public Backend {
         note_retry(attempt);
       }
     }
-    if (!resident_mode_) discard_resident();  // read-only: no gather
     return value;
   }
 
@@ -471,17 +459,6 @@ class DistBackendT final : public Backend {
     gather_span.end();
     release_slots();
     host_bytes_ += models::staging_bytes(resident_n_, sizeof(value_type));
-    resident_ = false;
-    host_ = nullptr;
-  }
-
-  /// Drops the resident chunks *without* gathering — legal only when
-  /// the resident state still equals the bound host state (read-only
-  /// ops in the per-op baseline, where residency was created this op
-  /// and nothing mutated or permuted it).
-  void discard_resident() {
-    if (!resident_) return;
-    release_slots();
     resident_ = false;
     host_ = nullptr;
   }
@@ -667,7 +644,6 @@ class DistBackendT final : public Backend {
   int ranks_;
   sim::CommPolicy policy_;
   sched::DistScheduleOptions dopts_;
-  bool resident_mode_;
 
   std::unique_ptr<cluster::ClusterSession> session_;
   std::vector<std::unique_ptr<sim::BasicDistStateVector<T>>> slots_;  ///< One per rank.
@@ -704,19 +680,12 @@ struct BackendEntry {
   SimulatorFactory make_sim;  // null for emulation-only backends
 };
 
-/// Per-gate fp32 runner over the float-instantiated kernel entry
-/// points (the scalar/AVX2/AVX-512 choice still goes through the
-/// runtime dispatch tables inside).
-Fp32SegmentBackend::Runner fp32_per_gate_runner(bool hpc_style, bool parallel) {
-  return [hpc_style, parallel](std::span<basic_complex_t<float>> a, qubit_t n,
-                               const circuit::Circuit& c) {
-    for (const circuit::Gate& g : c.gates()) {
-      if (hpc_style)
-        sim::apply_gate_hpc<float>(a, n, g);
-      else
-        sim::apply_gate_generic<float>(a, n, g, parallel);
-    }
-  };
+/// Per-gate fp32 runner over a float-instantiated gate dispatch (the
+/// scalar/AVX2/AVX-512 choice still goes through the runtime dispatch
+/// tables inside).
+template <void (*Apply)(std::span<basic_complex_t<float>>, qubit_t, const circuit::Gate&)>
+void fp32_per_gate(std::span<basic_complex_t<float>> a, qubit_t n, const circuit::Circuit& c) {
+  for (const circuit::Gate& g : c.gates()) Apply(a, n, g);
 }
 
 std::map<std::string, BackendEntry>& registry() {
@@ -737,20 +706,21 @@ std::map<std::string, BackendEntry>& registry() {
     };
     r["hpc"] = gate_level(
         "hpc", [] { return std::make_unique<sim::HpcSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/true, /*parallel=*/true));
+        fp32_per_gate<sim::apply_gate_hpc<float>>);
     r["qhipster-like"] = gate_level(
         "qhipster-like", [] { return std::make_unique<sim::QhipsterLikeSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/false, /*parallel=*/true));
+        fp32_per_gate<sim::apply_gate_generic<float>>);
     r["liquid-like"] = gate_level(
         "liquid-like", [] { return std::make_unique<sim::LiquidLikeSimulator>(); },
-        fp32_per_gate_runner(/*hpc_style=*/false, /*parallel=*/false));
+        fp32_per_gate<sim::apply_gate_generic<float, false>>);
     r["fused"] = BackendEntry{
         [](const RunOptions& opts) -> std::unique_ptr<Backend> {
           if (opts.precision == Precision::kF32)
             return std::make_unique<Fp32SegmentBackend>(
-                "fused", [fusion = opts.fusion](std::span<basic_complex_t<float>> a,
-                                                qubit_t n, const circuit::Circuit& c) {
-                  fuse::execute_fused<float>(a, n, fuse::fuse_circuit(c, fusion));
+                "fused", [fusion = opts.fusion](std::span<basic_complex_t<float>> a, qubit_t,
+                                                const circuit::Circuit& c) {
+                  sched::execute_blocked<float>(a,
+                                                sched::global_plan(fuse::fuse_circuit(c, fusion)));
                 });
           return std::make_unique<GateLevelBackend>(std::make_unique<fuse::FusedSimulator>(
               fuse::FusedSimulator::Options{opts.fusion}));

@@ -74,15 +74,6 @@ struct RunOptions {
   /// Allow the "dist" backend's cost-gated global<->local qubit
   /// exchange passes (off: every global-qubit gate runs per-gate).
   bool dist_remap = true;
-  /// Keep the "dist" backend's distributed state resident across the
-  /// whole run: one scatter at first use, ops executed against the
-  /// live per-rank chunks (gate segments chain their qubit permutation
-  /// forward instead of restoring logical order between segments), one
-  /// gather at run end. Off: the pre-session behaviour — every
-  /// engine-routed op pays its own scatter, and every mutating op its
-  /// own gather (kept as the measurable baseline; see
-  /// models::t_host_staging_seconds).
-  bool dist_resident = true;
   /// Collect a structured trace of the run (obs::Tracer): hierarchical
   /// spans across every layer — engine op, fusion, sweep scheduling,
   /// chunk sweeps, dist exchanges, per-rank cluster jobs — returned in

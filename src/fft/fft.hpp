@@ -82,6 +82,9 @@ class FftPlan {
   [[nodiscard]] qubit_t qubits() const noexcept { return n_; }
   [[nodiscard]] Sign sign() const noexcept { return sign_; }
   [[nodiscard]] Schedule schedule() const noexcept { return schedule_; }
+  /// Passes over the data (each one read + write) execute_batched makes:
+  /// 1 up to 2^11 points, whose column FFT is the whole transform, else 2.
+  [[nodiscard]] unsigned passes() const noexcept { return n2_ == 0 ? 1 : 2; }
 
  private:
   [[nodiscard]] complex_t twiddle(index_t e) const noexcept;  // W_N^e, e < N

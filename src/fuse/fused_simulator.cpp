@@ -1,78 +1,22 @@
 #include "fuse/fused_simulator.hpp"
 
 #include <stdexcept>
-#include <type_traits>
-#include <vector>
 
-#include "obs/trace.hpp"
-#include "sim/kernels.hpp"
+#include "sched/cached_simulator.hpp"
 
 namespace qc::fuse {
 
 void FusedSimulator::apply_gate(sim::StateVector& sv, const circuit::Gate& g) const {
-  hpc_.apply_gate(sv, g);
+  sim::apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
 }
 
 FusedCircuit FusedSimulator::plan(const circuit::Circuit& c) const {
   return fuse_circuit(c, opts_.fusion);
 }
 
-template <typename T>
-void execute_fused(std::span<basic_complex_t<T>> a, qubit_t n, const FusedCircuit& plan) {
-  if (a.size() != dim(plan.n) || plan.n != n)
-    throw std::invalid_argument("execute_fused: amplitude count mismatch");
-  // Narrowing scratch reused across blocks (empty and untouched at
-  // T = double, where the views alias the plan).
-  std::vector<basic_complex_t<T>> payload;
-  for (const FusedItem& item : plan.items) {
-    if (item.kind == FusedItem::Kind::Passthrough) {
-      sim::apply_gate_hpc<T>(a, n, item.gate);
-      continue;
-    }
-    const FusedOp& op = item.block;
-    obs::Span span("fuse.block");
-    if (obs::enabled()) {
-      span.arg("width", static_cast<double>(op.width()));
-      span.arg("gates", static_cast<double>(op.gate_count));
-    }
-    if (op.diagonal) {
-      // All folded gates were diagonal, so the block unitary is too:
-      // apply just the plan-time-extracted diagonal in one multiply-only
-      // sweep (no allocation in the hot loop).
-      std::span<const basic_complex_t<T>> d;
-      if constexpr (std::is_same_v<T, double>) {
-        d = {op.diag.data(), op.diag.size()};
-      } else {
-        payload.resize(op.diag.size());
-        for (std::size_t i = 0; i < op.diag.size(); ++i)
-          payload[i] = static_cast<basic_complex_t<T>>(op.diag[i]);
-        d = {payload.data(), payload.size()};
-      }
-      sim::kernels::apply_multi_diagonal<T>(a, n, op.qubits, d);
-      continue;
-    }
-    const std::size_t count = op.unitary.rows() * op.unitary.cols();
-    std::span<const basic_complex_t<T>> u;
-    if constexpr (std::is_same_v<T, double>) {
-      u = {op.unitary.data(), count};
-    } else {
-      payload.resize(count);
-      for (std::size_t i = 0; i < count; ++i)
-        payload[i] = static_cast<basic_complex_t<T>>(op.unitary.data()[i]);
-      u = {payload.data(), count};
-    }
-    sim::kernels::apply_multi<T>(a, n, op.qubits, u);
-  }
-}
-
-template void execute_fused<float>(std::span<basic_complex_t<float>>, qubit_t,
-                                   const FusedCircuit&);
-template void execute_fused<double>(std::span<basic_complex_t<double>>, qubit_t,
-                                    const FusedCircuit&);
-
 void FusedSimulator::execute(sim::StateVector& sv, const FusedCircuit& plan) const {
   if (plan.n != sv.qubits()) throw std::invalid_argument("execute: qubit count mismatch");
-  execute_fused<double>(sv.amplitudes(), sv.qubits(), plan);
+  sched::execute_blocked<double>(sv.amplitudes(), sched::global_plan(plan));
 }
 
 void FusedSimulator::run(sim::StateVector& sv, const circuit::Circuit& c) const {

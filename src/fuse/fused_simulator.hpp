@@ -1,10 +1,11 @@
 // FusedSimulator — the gate-fusion backend ("fused" in make_simulator).
 //
-// run() first lowers the circuit through fuse::fuse_circuit, then
-// executes the plan: multi-gate blocks go through the one-pass k-qubit
-// kernels (apply_multi / apply_multi_diagonal), everything else through
-// the same specialized fast paths HpcSimulator uses. Per-gate
-// apply_gate() is identical to HpcSimulator (fusion is a cross-gate
+// run() first lowers the circuit through fuse::fuse_circuit, then runs
+// the fused ops through sched::execute_blocked on sched::global_plan:
+// one Global item per op, so each multi-gate block is one parallel pass
+// of the k-qubit kernels (apply_multi / apply_multi_diagonal) and every
+// other gate takes the specialized fast paths of sim::apply_gate_hpc.
+// Per-gate apply_gate() is HpcSimulator's (fusion is a cross-gate
 // optimization; there is nothing to fuse for a single gate).
 //
 // For repeated execution of one circuit (iterative algorithms, benches),
@@ -37,16 +38,7 @@ class FusedSimulator final : public sim::Simulator {
   void execute(sim::StateVector& sv, const FusedCircuit& plan) const;
 
  private:
-  sim::HpcSimulator hpc_;
   Options opts_;
 };
-
-/// Executes a fused plan on a raw amplitude array of 2^n amplitudes at
-/// scalar T — the span-level executor FusedSimulator::execute wraps and
-/// the engine's fp32 path into fused execution. The plan (and its block
-/// GEMMs) stays double precision; block payloads are narrowed once per
-/// block. Instantiated for float/double.
-template <typename T>
-void execute_fused(std::span<basic_complex_t<T>> a, qubit_t n, const FusedCircuit& plan);
 
 }  // namespace qc::fuse

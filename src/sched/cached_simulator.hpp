@@ -2,23 +2,24 @@
 //
 // run() lowers the circuit through fuse::fuse_circuit (same pass as the
 // "fused" backend), then through sched::schedule, and executes the
-// blocked plan:
+// blocked plan with execute_blocked, the one plan executor (the fused
+// backend runs it too, on a plan of Global items only):
 //
 //  * Sweep items walk the state vector chunk by chunk (2^L amplitudes,
 //    L = plan.chunk_width) and apply every op of the sweep to a chunk
 //    while it is cache resident — one `omp parallel` region over chunks
-//    per sweep, serial chunk-local kernels inside. This replaces the
-//    fused backend's one-full-DRAM-pass-per-block with one pass per
-//    sweep (paper §4: the simulation is bandwidth bound, so fewer state
-//    traversals is the whole game).
+//    per sweep, the kernels' Par = false bodies inside. This replaces
+//    one full DRAM pass per op with one pass per sweep (paper §4: the
+//    simulation is bandwidth bound, so fewer state traversals is the
+//    whole game).
 //  * Remap items relocate high qubits into the low block in one
 //    transposition pass (kernels::apply_qubit_swaps).
 //  * Global items (ops wider than a chunk, or not worth remapping) run
-//    through the same full-vector kernels the fused backend uses.
+//    as one parallel full-vector pass of the same kernels.
 //
-// Per-gate apply_gate() is identical to HpcSimulator — blocking is a
-// cross-op optimization. plan() + execute() let iterative callers pay
-// fusion + scheduling once.
+// Sweep ops and Global items share one op dispatch; gate ops go through
+// sim::apply_gate_hpc, so per-gate apply_gate() is HpcSimulator's.
+// plan() + execute() let iterative callers pay fusion + scheduling once.
 #pragma once
 
 #include "fuse/fusion.hpp"
@@ -58,7 +59,6 @@ class CachedSimulator final : public sim::Simulator {
   void execute(sim::StateVector& sv, const BlockedPlan& plan) const;
 
  private:
-  sim::HpcSimulator hpc_;
   Options opts_;
 };
 

@@ -359,4 +359,20 @@ BlockedPlan schedule(const FusedCircuit& fc, const ScheduleOptions& opts) {
   return plan;
 }
 
+BlockedPlan global_plan(const FusedCircuit& fc) {
+  BlockedPlan plan;
+  plan.n = fc.n;
+  plan.chunk_width = fc.n;
+  plan.source_ops = fc.items.size();
+  std::vector<qubit_t> identity(fc.n);
+  std::iota(identity.begin(), identity.end(), qubit_t{0});
+  for (std::size_t i = 0; i < fc.items.size(); ++i) {
+    PlanItem item;
+    item.kind = PlanItem::Kind::Global;
+    item.global = remap_item(fc.items[i], identity, i);
+    plan.items.push_back(std::move(item));
+  }
+  return plan;
+}
+
 }  // namespace qc::sched

@@ -129,4 +129,8 @@ struct ScheduleOptions {
 [[nodiscard]] BlockedPlan schedule(const fuse::FusedCircuit& fc,
                                    const ScheduleOptions& opts = {});
 
+/// The fused backend's plan: one Global item per fused op, in order, no
+/// sweeps and no remaps — each op runs as one parallel full pass.
+[[nodiscard]] BlockedPlan global_plan(const fuse::FusedCircuit& fc);
+
 }  // namespace qc::sched

@@ -166,22 +166,9 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
     for (qubit_t c : g.controls)
       if (c < nl_) local_gate.controls.push_back(c);
     if (policy == CommPolicy::Specialized) {
-      // Apply through the specialized kernels on the local window.
-      const auto a = std::span<value_type>(local_.data(), local_.size());
-      if (local_gate.kind == GateKind::X) {
-        kernels::apply_x<T>(a, nl_, t, local_cmask);
-      } else if (local_gate.diagonal()) {
-        const auto [d0, d1] = diagonal_entries(local_gate);
-        kernels::apply_diagonal<T>(a, nl_, t, static_cast<value_type>(d0),
-                                   static_cast<value_type>(d1), local_cmask);
-      } else {
-        kernels::apply_folded<T>(a, nl_, t, local_cmask,
-                                 kernels::u2_cast<T>(target_block(local_gate)));
-      }
+      apply_gate_hpc<T>(local(), nl_, local_gate);
     } else {
-      kernels::apply_generic_masked<T>({local_.data(), local_.size()}, nl_, t, local_cmask,
-                                       kernels::u2_cast<T>(target_block(local_gate)),
-                                       /*parallel=*/true);
+      apply_gate_generic<T>(local(), nl_, local_gate);
     }
     return;
   }
@@ -205,15 +192,8 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
 
   // Exchange path. Note the pair partner has identical global control
   // bits (it differs only in the target bit), so "skip" decisions agree.
+  // Both policies exchange the full chunk, then apply the masked combine.
   if (!globals_satisfied) return;
-  if (policy == CommPolicy::Exchange) {
-    // Unspecialized: the whole chunk participates regardless of local
-    // controls; fold the control test into the 2x2 by expanding... the
-    // generic simulator still exchanges the full chunk, then applies the
-    // masked combine.
-    exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask, 0);
-    return;
-  }
   exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask, 0);
 }
 

@@ -1,5 +1,7 @@
 #include "sim/kernels.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 
 #include "sim/kernels_dispatch.hpp"
@@ -17,11 +19,11 @@ std::vector<qubit_t> sorted_bit_positions(index_t mask, std::initializer_list<qu
 
 namespace {
 
-/// Longest run (in amplitudes) handed to one microkernel call from a
-/// parallel sweep: short enough that flattening (group, segment) pairs
-/// keeps every thread busy even when the target is a top qubit (one
-/// giant run), long enough to amortize dispatch.
-inline constexpr index_t kParSegment = index_t{1} << 12;
+/// log2 of the longest run (in amplitudes) handed to one microkernel
+/// call: short enough that flattening (group, segment) pairs keeps every
+/// thread busy even when the target is a top qubit (one giant run), long
+/// enough to amortize dispatch.
+inline constexpr qubit_t kSegmentLog = 12;
 
 /// Splats a 2x2 block into the row-major {re, im} coefficient layout the
 /// dense2 microkernel consumes.
@@ -31,288 +33,182 @@ std::array<T, 8> u2_coef(const U2T<T>& u) noexcept {
           u.m10.real(), u.m10.imag(), u.m11.real(), u.m11.imag()};
 }
 
-}  // namespace
-
-template <typename T>
-void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                          index_t cmask, const U2T<T>& u, bool parallel) {
-  using C = basic_complex_t<T>;
-  const index_t pairs = dim(n) >> 1;
-  const index_t tbit = index_t{1} << target;
-  if (parallel) {
-#pragma omp parallel for schedule(static) if (worth_parallelizing(pairs))
-    for (index_t j = 0; j < pairs; ++j) {
-      const index_t i0 = bits::insert_bit(j, target);
-      if ((i0 & cmask) != cmask) continue;
-      const index_t i1 = i0 | tbit;
-      const C x0 = a[i0], x1 = a[i1];
-      a[i0] = u.m00 * x0 + u.m01 * x1;
-      a[i1] = u.m10 * x0 + u.m11 * x1;
+/// The one place a kernel meets OpenMP: calls body(begin, end) to cover
+/// [0, count). With Par, and `work` amplitudes worth a fork, each thread
+/// of one `omp parallel` region takes one contiguous share; otherwise
+/// the calling thread runs the whole range and no region is opened.
+template <bool Par, typename F>
+void for_ranges(index_t count, index_t work, F&& body) {
+  if constexpr (Par) {
+#pragma omp parallel if (worth_parallelizing(work))
+    {
+      const auto t = static_cast<index_t>(omp_get_thread_num());
+      const auto threads = static_cast<index_t>(omp_get_num_threads());
+      body(count * t / threads, count * (t + 1) / threads);
     }
   } else {
-    for (index_t j = 0; j < pairs; ++j) {
-      const index_t i0 = bits::insert_bit(j, target);
-      if ((i0 & cmask) != cmask) continue;
-      const index_t i1 = i0 | tbit;
-      const C x0 = a[i0], x1 = a[i1];
-      a[i0] = u.m00 * x0 + u.m01 * x1;
-      a[i1] = u.m10 * x0 + u.m11 * x1;
-    }
+    body(index_t{0}, count);
   }
 }
 
-template <typename T>
+/// Calls f(i) for every index of the 2^n-amplitude state whose bits at
+/// the ascending positions `pos` are 0. The 1/2/3-position cases (one
+/// target plus up to two controls — nearly every gate) inline the
+/// insert_bit chain so the loop stays tight; BitExpander's runtime
+/// position loop costs ~2x on these sweeps (measured at 22 qubits).
+template <bool Par, typename F>
+void expanded_loop(qubit_t n, std::span<const qubit_t> pos, F&& f) {
+  const index_t count = dim(n) >> pos.size();
+  for_ranges<Par>(count, count, [&](index_t lo, index_t hi) {
+    switch (pos.size()) {
+      case 1: {
+        const qubit_t p0 = pos[0];
+        for (index_t j = lo; j < hi; ++j) f(bits::insert_bit(j, p0));
+        return;
+      }
+      case 2: {
+        const qubit_t p0 = pos[0], p1 = pos[1];
+        for (index_t j = lo; j < hi; ++j) f(bits::insert_bit(bits::insert_bit(j, p0), p1));
+        return;
+      }
+      case 3: {
+        const qubit_t p0 = pos[0], p1 = pos[1], p2 = pos[2];
+        for (index_t j = lo; j < hi; ++j)
+          f(bits::insert_bit(bits::insert_bit(bits::insert_bit(j, p0), p1), p2));
+        return;
+      }
+      default: {
+        const BitExpander expand{pos};
+        for (index_t j = lo; j < hi; ++j) f(expand(j));
+        return;
+      }
+    }
+  });
+}
+
+/// Uncontrolled single-qubit gates pair the contiguous target=0 and
+/// target=1 runs of 2^target amplitudes. Calls f(base, len) for every
+/// segment of a target=0 run (its partner starts at base + 2^target),
+/// with (run, segment) flattened into one index so the threads stay
+/// balanced whether the target is qubit 0 (many short runs) or the top
+/// qubit (one run spanning half the vector). Every size is a power of
+/// two, so the index splits with shifts, not divisions.
+template <bool Par, typename F>
+void for_run_pairs(qubit_t n, qubit_t target, F&& f) {
+  const qubit_t seg_log = std::min(target, kSegmentLog);
+  const qubit_t run_log = target - seg_log;  // log2 segments per run
+  const index_t total = dim(n) >> (target + 1 - run_log);
+  for_ranges<Par>(total, dim(n), [&](index_t lo, index_t hi) {
+    for (index_t s = lo; s < hi; ++s)
+      f(((s >> run_log) << (target + 1)) | ((s & bits::low_mask(run_log)) << seg_log),
+        dim(seg_log));
+  });
+}
+
+}  // namespace
+
+template <typename T, bool Par>
+void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
+                          index_t cmask, const U2T<T>& u) {
+  using C = basic_complex_t<T>;
+  const index_t tbit = index_t{1} << target;
+  const qubit_t pos[1] = {target};
+  expanded_loop<Par>(n, pos, [&](index_t i0) {
+    if ((i0 & cmask) != cmask) return;
+    const index_t i1 = i0 | tbit;
+    const C x0 = a[i0], x1 = a[i1];
+    a[i0] = u.m00 * x0 + u.m01 * x1;
+    a[i1] = u.m10 * x0 + u.m11 * x1;
+  });
+}
+
+template <typename T, bool Par>
 void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask,
                   const U2T<T>& u) {
   using C = basic_complex_t<T>;
   const index_t tbit = index_t{1} << target;
   if (cmask == 0) {
-    // Uncontrolled: the (target=0, target=1) partners form contiguous
-    // runs of 2^target amplitudes — hand them to the runtime-dispatched
-    // dense2 microkernel. The (group, segment) flattening keeps the
-    // parallel loop load-balanced whether the target is qubit 0 (many
-    // short runs) or the top qubit (one run spanning half the vector).
-    const index_t size = dim(n);
+    // Uncontrolled: hand the contiguous partner runs to the
+    // runtime-dispatched dense2 microkernel.
     const auto& mk = active_microkernels<T>();
     const std::array<T, 8> coef = u2_coef(u);
-    const index_t seg = std::min(tbit, kParSegment);
-    const index_t per_run = tbit / seg;
-    const index_t total = (size >> (target + 1)) * per_run;
     T* p = real_imag_planes(a.data());
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-    for (index_t s = 0; s < total; ++s) {
-      const index_t base = (s / per_run) * (tbit << 1) + (s % per_run) * seg;
-      mk.dense2(p + 2 * base, p + 2 * (base + tbit), seg, coef.data());
-    }
+    for_run_pairs<Par>(n, target, [&](index_t base, index_t len) {
+      mk.dense2(p + 2 * base, p + 2 * (base + tbit), len, coef.data());
+    });
     return;
   }
   const auto pos = sorted_bit_positions(cmask, {target});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i0 = expand(j) | cmask;
+  expanded_loop<Par>(n, pos, [&](index_t expanded) {
+    const index_t i0 = expanded | cmask;
     const index_t i1 = i0 | tbit;
     const C x0 = a[i0], x1 = a[i1];
     a[i0] = u.m00 * x0 + u.m01 * x1;
     a[i1] = u.m10 * x0 + u.m11 * x1;
-  }
+  });
 }
 
-template <typename T>
+template <typename T, bool Par>
 void apply_diagonal(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
                     basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask) {
   using C = basic_complex_t<T>;
   const index_t tbit = index_t{1} << target;
+  const bool skip0 = d0 == C{T{1}};
   if (cmask == 0) {
-    // Uncontrolled: every touched amplitude lies in a contiguous
-    // 2^target run — run-scale them through the dispatched microkernel,
-    // with the same (run, segment) flattening as apply_folded.
-    const index_t size = dim(n);
+    // Uncontrolled: scale the target=1 (and, unless d0 == 1, target=0)
+    // runs through the dispatched run-scale microkernel.
     const auto& mk = active_microkernels<T>();
-    const bool skip0 = d0 == C{T{1}};
-    const index_t seg = std::min(tbit, kParSegment);
-    const index_t per_run = tbit / seg;
-    const index_t total = (size >> target) * per_run;
     T* p = real_imag_planes(a.data());
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-    for (index_t s = 0; s < total; ++s) {
-      const index_t run = s / per_run;
-      const bool one = (run & 1) != 0;
-      if (skip0 && !one) continue;
-      const C d = one ? d1 : d0;
-      const index_t base = run * tbit + (s % per_run) * seg;
-      mk.scale(p + 2 * base, seg, d.real(), d.imag());
-    }
+    for_run_pairs<Par>(n, target, [&](index_t base, index_t len) {
+      if (!skip0) mk.scale(p + 2 * base, len, d0.real(), d0.imag());
+      mk.scale(p + 2 * (base + tbit), len, d1.real(), d1.imag());
+    });
     return;
   }
-  if (d0 == C{T{1}}) {
+  if (skip0) {
     // Phase-type gate: only amplitudes with target=1 and controls=1
     // change — a quarter of the vector for the paper's CR gate.
     const auto pos = sorted_bit_positions(cmask, {target});
-    const BitExpander expand{pos};
-    const index_t count = dim(n) >> pos.size();
     const index_t set_mask = cmask | tbit;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-    for (index_t j = 0; j < count; ++j) a[expand(j) | set_mask] *= d1;
+    expanded_loop<Par>(n, pos, [&](index_t expanded) { a[expanded | set_mask] *= d1; });
     return;
   }
   // General diagonal (e.g. Rz): one in-place sweep over the controls=1
   // part, choosing d0/d1 by the target bit.
   const auto pos = sorted_bit_positions(cmask, {});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i = expand(j) | cmask;
-    a[i] *= (i & tbit) ? d1 : d0;
-  }
-}
-
-template <typename T>
-void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask) {
-  const auto pos = sorted_bit_positions(cmask, {target});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-  const index_t tbit = index_t{1} << target;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t i0 = expand(j) | cmask;
-    std::swap(a[i0], a[i0 | tbit]);
-  }
-}
-
-template <typename T>
-void apply_swap(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                index_t cmask) {
-  // Touches only indices where the two bits differ: enumerate with both
-  // bits removed, swap (qa=1,qb=0) with (qa=0,qb=1).
-  const auto pos = sorted_bit_positions(cmask, {qa, qb});
-  const BitExpander expand{pos};
-  const index_t count = dim(n) >> pos.size();
-  const index_t abit = index_t{1} << qa;
-  const index_t bbit = index_t{1} << qb;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-  for (index_t j = 0; j < count; ++j) {
-    const index_t base = expand(j) | cmask;
-    std::swap(a[base | abit], a[base | bbit]);
-  }
-}
-
-namespace {
-
-// The serial kernels below are the per-chunk inner loops of the
-// cache-blocked executor: they run inside an outer cross-chunk parallel
-// region, so unlike the kernels above they cannot lean on OpenMP. Their
-// uncontrolled fast paths hand the contiguous (target=0, target=1) runs
-// to the runtime-dispatched microkernels (kernels_dispatch.hpp) through
-// raw scalar planes (std::complex guarantees the {re, im} array
-// layout); the generic masked loops stay scalar.
-
-/// Serial enumeration of expanded indices: j in [0, count) visits every
-/// index with 0 bits at `pos`. The 1/2/3-position cases (one target plus
-/// up to two controls — nearly every gate) inline the insert_bit chain
-/// so the compiler keeps the loop tight; BitExpander's runtime position
-/// loop costs ~2x on these serial sweeps (measured at 22 qubits).
-template <typename F>
-inline void expanded_loop(std::span<const qubit_t> pos, index_t count, F&& f) {
-  switch (pos.size()) {
-    case 1: {
-      const qubit_t p0 = pos[0];
-      for (index_t j = 0; j < count; ++j) f(bits::insert_bit(j, p0));
-      return;
-    }
-    case 2: {
-      const qubit_t p0 = pos[0], p1 = pos[1];
-      for (index_t j = 0; j < count; ++j) f(bits::insert_bit(bits::insert_bit(j, p0), p1));
-      return;
-    }
-    case 3: {
-      const qubit_t p0 = pos[0], p1 = pos[1], p2 = pos[2];
-      for (index_t j = 0; j < count; ++j)
-        f(bits::insert_bit(bits::insert_bit(bits::insert_bit(j, p0), p1), p2));
-      return;
-    }
-    default: {
-      const BitExpander expand{pos};
-      for (index_t j = 0; j < count; ++j) f(expand(j));
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-template <typename T>
-void apply_folded_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                         index_t cmask, const U2T<T>& u) {
-  using C = basic_complex_t<T>;
-  const index_t tbit = index_t{1} << target;
-  if (cmask == 0) {
-    // Uncontrolled: the (target=0, target=1) partners form contiguous
-    // runs of 2^target amplitudes; process them through the dispatched
-    // dense2 microkernel.
-    const index_t size = dim(n);
-    const auto& mk = active_microkernels<T>();
-    const std::array<T, 8> coef = u2_coef(u);
-    T* p = real_imag_planes(a.data());
-    for (index_t g = 0; g < size; g += tbit << 1)
-      mk.dense2(p + 2 * g, p + 2 * (g + tbit), tbit, coef.data());
-    return;
-  }
-  const auto pos = sorted_bit_positions(cmask, {target});
-  const index_t count = dim(n) >> pos.size();
-  expanded_loop(pos, count, [&](index_t expanded) {
-    const index_t i0 = expanded | cmask;
-    const index_t i1 = i0 | tbit;
-    const C x0 = a[i0], x1 = a[i1];
-    a[i0] = u.m00 * x0 + u.m01 * x1;
-    a[i1] = u.m10 * x0 + u.m11 * x1;
-  });
-}
-
-template <typename T>
-void apply_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                           basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask) {
-  using C = basic_complex_t<T>;
-  const index_t tbit = index_t{1} << target;
-  if (cmask == 0) {
-    // Uncontrolled: the target=1 (and, unless d0 == 1, target=0)
-    // amplitudes form contiguous runs — scale them through the
-    // dispatched run-scale microkernel.
-    const index_t size = dim(n);
-    const auto& mk = active_microkernels<T>();
-    const bool skip0 = d0 == C{T{1}};
-    T* p = real_imag_planes(a.data());
-    for (index_t g = 0; g < size; g += tbit << 1) {
-      if (!skip0) mk.scale(p + 2 * g, tbit, d0.real(), d0.imag());
-      mk.scale(p + 2 * (g + tbit), tbit, d1.real(), d1.imag());
-    }
-    return;
-  }
-  if (d0 == C{T{1}}) {
-    const auto pos = sorted_bit_positions(cmask, {target});
-    const index_t count = dim(n) >> pos.size();
-    const index_t set_mask = cmask | tbit;
-    expanded_loop(pos, count, [&](index_t expanded) { a[expanded | set_mask] *= d1; });
-    return;
-  }
-  const auto pos = sorted_bit_positions(cmask, {});
-  const index_t count = dim(n) >> pos.size();
-  expanded_loop(pos, count, [&](index_t expanded) {
+  expanded_loop<Par>(n, pos, [&](index_t expanded) {
     const index_t i = expanded | cmask;
     a[i] *= (i & tbit) ? d1 : d0;
   });
 }
 
-template <typename T>
-void apply_x_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask) {
+template <typename T, bool Par>
+void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask) {
   const index_t tbit = index_t{1} << target;
   if (cmask == 0) {
     // Uncontrolled NOT: exchange the contiguous target=0 / target=1 runs.
-    const index_t size = dim(n);
-    for (index_t g = 0; g < size; g += tbit << 1)
-      std::swap_ranges(a.begin() + static_cast<std::ptrdiff_t>(g),
-                       a.begin() + static_cast<std::ptrdiff_t>(g + tbit),
-                       a.begin() + static_cast<std::ptrdiff_t>(g + tbit));
+    basic_complex_t<T>* p = a.data();
+    for_run_pairs<Par>(n, target, [&](index_t base, index_t len) {
+      std::swap_ranges(p + base, p + base + len, p + base + tbit);
+    });
     return;
   }
   const auto pos = sorted_bit_positions(cmask, {target});
-  const index_t count = dim(n) >> pos.size();
-  expanded_loop(pos, count, [&](index_t expanded) {
+  expanded_loop<Par>(n, pos, [&](index_t expanded) {
     const index_t i0 = expanded | cmask;
     std::swap(a[i0], a[i0 | tbit]);
   });
 }
 
-template <typename T>
-void apply_swap_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                       index_t cmask) {
+template <typename T, bool Par>
+void apply_swap(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
+                index_t cmask) {
+  // Touches only indices where the two bits differ: enumerate with both
+  // bits removed, swap (qa=1,qb=0) with (qa=0,qb=1).
   const auto pos = sorted_bit_positions(cmask, {qa, qb});
-  const index_t count = dim(n) >> pos.size();
   const index_t abit = index_t{1} << qa;
   const index_t bbit = index_t{1} << qb;
-  expanded_loop(pos, count, [&](index_t expanded) {
+  expanded_loop<Par>(n, pos, [&](index_t expanded) {
     const index_t base = expanded | cmask;
     std::swap(a[base | abit], a[base | bbit]);
   });
@@ -337,9 +233,7 @@ std::array<index_t, B> block_offsets(std::span<const qubit_t> targets) {
 /// Width-templated block apply: the compile-time block size lets the
 /// compiler fully unroll / FMA-vectorize the mat-vec, and the unitary is
 /// split once into real/imag planes so the hot loop is plain scalar
-/// arithmetic (std::complex products inhibit vectorization). `Par`
-/// selects the OpenMP sweep vs the serial chunk-local form used inside
-/// the cache-blocked executor's cross-chunk parallel region.
+/// arithmetic (std::complex products inhibit vectorization).
 template <typename T, unsigned K, bool Par>
 void apply_multi_t(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
                    std::span<const basic_complex_t<T>> u) {
@@ -353,38 +247,29 @@ void apply_multi_t(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const q
     ui[i] = u[i].imag();
   }
   const index_t count = dim(n) >> K;
-  const auto body = [&](index_t j, std::array<T, B>& xr, std::array<T, B>& xi,
-                        std::array<T, B>& yr, std::array<T, B>& yi) {
-    const index_t base = expand(j);
-    for (index_t b = 0; b < B; ++b) {
-      const C v = a[base | offs[b]];
-      xr[b] = v.real();
-      xi[b] = v.imag();
-    }
-    for (index_t r = 0; r < B; ++r) {
-      const T* urow = ur.data() + r * B;
-      const T* uirow = ui.data() + r * B;
-      T accr{}, acci{};
-      for (index_t c = 0; c < B; ++c) {
-        accr += urow[c] * xr[c] - uirow[c] * xi[c];
-        acci += urow[c] * xi[c] + uirow[c] * xr[c];
-      }
-      yr[r] = accr;
-      yi[r] = acci;
-    }
-    for (index_t b = 0; b < B; ++b) a[base | offs[b]] = C{yr[b], yi[b]};
-  };
-  if constexpr (Par) {
-#pragma omp parallel if (worth_parallelizing(count))
-    {
-      alignas(64) std::array<T, B> xr, xi, yr, yi;
-#pragma omp for schedule(static)
-      for (index_t j = 0; j < count; ++j) body(j, xr, xi, yr, yi);
-    }
-  } else {
+  for_ranges<Par>(count, count, [&](index_t lo, index_t hi) {
     alignas(64) std::array<T, B> xr, xi, yr, yi;
-    for (index_t j = 0; j < count; ++j) body(j, xr, xi, yr, yi);
-  }
+    for (index_t j = lo; j < hi; ++j) {
+      const index_t base = expand(j);
+      for (index_t b = 0; b < B; ++b) {
+        const C v = a[base | offs[b]];
+        xr[b] = v.real();
+        xi[b] = v.imag();
+      }
+      for (index_t r = 0; r < B; ++r) {
+        const T* urow = ur.data() + r * B;
+        const T* uirow = ui.data() + r * B;
+        T accr{}, acci{};
+        for (index_t c = 0; c < B; ++c) {
+          accr += urow[c] * xr[c] - uirow[c] * xi[c];
+          acci += urow[c] * xi[c] + uirow[c] * xr[c];
+        }
+        yr[r] = accr;
+        yi[r] = acci;
+      }
+      for (index_t b = 0; b < B; ++b) a[base | offs[b]] = C{yr[b], yi[b]};
+    }
+  });
 }
 
 /// Generic fallback for the widest blocks (heap-sized scratch).
@@ -399,38 +284,30 @@ void apply_multi_generic(std::span<basic_complex_t<T>> a, qubit_t n,
   const auto offs = block_offsets<dim(kMaxFusedWidth)>(targets);
   const C* um = u.data();
   const index_t count = dim(n) >> k;
-  const auto body = [&](index_t j, std::vector<C>& x, std::vector<C>& y) {
-    const index_t base = expand(j);
-    for (index_t b = 0; b < block; ++b) x[b] = a[base | offs[b]];
-    for (index_t r = 0; r < block; ++r) {
-      const C* row = um + r * block;
-      C acc{};
-      for (index_t c = 0; c < block; ++c) acc += row[c] * x[c];
-      y[r] = acc;
-    }
-    for (index_t b = 0; b < block; ++b) a[base | offs[b]] = y[b];
-  };
-  if constexpr (Par) {
-#pragma omp parallel if (worth_parallelizing(count))
-    {
-      std::vector<C> x(block), y(block);
-#pragma omp for schedule(static)
-      for (index_t j = 0; j < count; ++j) body(j, x, y);
-    }
-  } else {
+  for_ranges<Par>(count, count, [&](index_t lo, index_t hi) {
     std::vector<C> x(block), y(block);
-    for (index_t j = 0; j < count; ++j) body(j, x, y);
-  }
+    for (index_t j = lo; j < hi; ++j) {
+      const index_t base = expand(j);
+      for (index_t b = 0; b < block; ++b) x[b] = a[base | offs[b]];
+      for (index_t r = 0; r < block; ++r) {
+        const C* row = um + r * block;
+        C acc{};
+        for (index_t c = 0; c < block; ++c) acc += row[c] * x[c];
+        y[r] = acc;
+      }
+      for (index_t b = 0; b < block; ++b) a[base | offs[b]] = y[b];
+    }
+  });
 }
 
 /// 2-qubit dense apply through the dispatched 4x4 microkernel: the
 /// generic gather kernel pays per-block staging (~2x at B = 4); this
 /// walks the four target-bit runs {00, 01, 10, 11} directly so the
-/// contiguous low-bit run vectorizes. Parallel form flattens (group,
-/// segment) pairs like apply_folded so high targets still load-balance.
+/// contiguous low-bit run vectorizes, with (group, segment) pairs
+/// flattened like for_run_pairs so high targets still load-balance.
 template <typename T, bool Par>
-void apply_multi2_impl(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t t0, qubit_t t1,
-                       std::span<const basic_complex_t<T>> u) {
+void apply_multi2(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t t0, qubit_t t1,
+                  std::span<const basic_complex_t<T>> u) {
   const index_t size = dim(n);
   const index_t b0 = index_t{1} << t0;
   const index_t b1 = index_t{1} << t1;
@@ -442,32 +319,26 @@ void apply_multi2_impl(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t t0, q
   }
   const auto& mk = active_microkernels<T>();
   T* p = real_imag_planes(a.data());
-  const index_t inner = b1 / (b0 << 1);  // g0 groups per g1 group
-  if constexpr (Par) {
-    const index_t seg = std::min(b0, kParSegment);
-    const index_t per_run = b0 / seg;
-    const index_t total = (size / (b1 << 1)) * inner * per_run;
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-    for (index_t s = 0; s < total; ++s) {
-      const index_t o = s / (inner * per_run);
-      const index_t rem = s % (inner * per_run);
-      const index_t base =
-          o * (b1 << 1) + (rem / per_run) * (b0 << 1) + (rem % per_run) * seg;
+  const qubit_t seg_log = std::min(t0, kSegmentLog);
+  const qubit_t run_log = t0 - seg_log;            // log2 segments per b0 run
+  const qubit_t group_log = t1 - t0 - 1 + run_log;  // log2 segments per b1 group
+  const index_t total = size >> (t1 + 1 - group_log);
+  for_ranges<Par>(total, size, [&](index_t lo, index_t hi) {
+    for (index_t s = lo; s < hi; ++s) {
+      const index_t rem = s & bits::low_mask(group_log);
+      const index_t base = ((s >> group_log) << (t1 + 1)) | ((rem >> run_log) << (t0 + 1)) |
+                           ((rem & bits::low_mask(run_log)) << seg_log);
       mk.dense4(p + 2 * base, p + 2 * (base + b0), p + 2 * (base + b1),
-                p + 2 * (base + b0 + b1), seg, ur, ui);
+                p + 2 * (base + b0 + b1), dim(seg_log), ur, ui);
     }
-  } else {
-    for (index_t g1 = 0; g1 < size; g1 += b1 << 1)
-      for (index_t g0 = g1; g0 < g1 + b1; g0 += b0 << 1)
-        mk.dense4(p + 2 * g0, p + 2 * (g0 + b0), p + 2 * (g0 + b1), p + 2 * (g0 + b0 + b1),
-                  b0, ur, ui);
-  }
+  });
 }
 
+}  // namespace
+
 template <typename T, bool Par>
-void apply_multi_dispatch(std::span<basic_complex_t<T>> a, qubit_t n,
-                          std::span<const qubit_t> targets,
-                          std::span<const basic_complex_t<T>> u) {
+void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
+                 std::span<const basic_complex_t<T>> u) {
   const auto k = static_cast<qubit_t>(targets.size());
   assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
   assert(u.size() == dim(k) * dim(k));
@@ -477,12 +348,9 @@ void apply_multi_dispatch(std::span<basic_complex_t<T>> a, qubit_t n,
       // Route through the folded 2x2 path so fused single-qubit blocks
       // hit the dispatched dense2 microkernel.
       const U2T<T> u2{u[0], u[1], u[2], u[3]};
-      if constexpr (Par)
-        return apply_folded<T>(a, n, targets[0], 0, u2);
-      else
-        return apply_folded_serial<T>(a, n, targets[0], 0, u2);
+      return apply_folded<T, Par>(a, n, targets[0], 0, u2);
     }
-    case 2: return apply_multi2_impl<T, Par>(a, n, targets[0], targets[1], u);
+    case 2: return apply_multi2<T, Par>(a, n, targets[0], targets[1], u);
     case 3: return apply_multi_t<T, 3, Par>(a, n, targets, u);
     case 4: return apply_multi_t<T, 4, Par>(a, n, targets, u);
     case 5: return apply_multi_t<T, 5, Par>(a, n, targets, u);
@@ -491,22 +359,7 @@ void apply_multi_dispatch(std::span<basic_complex_t<T>> a, qubit_t n,
   }
 }
 
-}  // namespace
-
-template <typename T>
-void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
-                 std::span<const basic_complex_t<T>> u) {
-  apply_multi_dispatch<T, true>(a, n, targets, u);
-}
-
-template <typename T>
-void apply_multi_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                        std::span<const qubit_t> targets,
-                        std::span<const basic_complex_t<T>> u) {
-  apply_multi_dispatch<T, false>(a, n, targets, u);
-}
-
-template <typename T>
+template <typename T, bool Par>
 void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
                           std::span<const qubit_t> targets,
                           std::span<const basic_complex_t<T>> d) {
@@ -514,27 +367,13 @@ void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
   assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
   assert(d.size() == dim(k));
   const index_t size = dim(n);
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) {
-    index_t b = 0;
-    for (qubit_t l = 0; l < k; ++l) b |= bits::get(i, targets[l]) << l;
-    a[i] *= d[b];
-  }
-}
-
-template <typename T>
-void apply_multi_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                                 std::span<const qubit_t> targets,
-                                 std::span<const basic_complex_t<T>> d) {
-  const auto k = static_cast<qubit_t>(targets.size());
-  assert(k >= 1 && k <= kMaxFusedWidth && k <= n);
-  assert(d.size() == dim(k));
-  const index_t size = dim(n);
-  for (index_t i = 0; i < size; ++i) {
-    index_t b = 0;
-    for (qubit_t l = 0; l < k; ++l) b |= bits::get(i, targets[l]) << l;
-    a[i] *= d[b];
-  }
+  for_ranges<Par>(size, size, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      index_t b = 0;
+      for (qubit_t l = 0; l < k; ++l) b |= bits::get(i, targets[l]) << l;
+      a[i] *= d[b];
+    }
+  });
 }
 
 template <typename T>
@@ -560,88 +399,38 @@ void apply_qubit_swaps(std::span<basic_complex_t<T>> a, qubit_t n,
   }
 }
 
-template <typename T>
-void apply_fused_diagonal(std::span<basic_complex_t<T>> a,
-                          std::span<const DiagonalTermT<T>> terms) {
-  using C = basic_complex_t<T>;
-  const index_t size = a.size();
-  // Factor-table fast path: when the union support fits a fused-width
-  // block, each amplitude's factor depends only on those k bits —
-  // precompute all 2^k products once and let apply_multi_diagonal do a
-  // branch-free table-lookup sweep.
-  index_t support = 0;
-  for (const DiagonalTermT<T>& t : terms) support |= t.cmask | (index_t{1} << t.target);
-  const int k = bits::popcount(support);
-  if (k >= 1 && k <= static_cast<int>(kMaxFusedWidth)) {
-    const std::vector<qubit_t> pos = sorted_bit_positions(support);
-    const index_t block = index_t{1} << k;
-    std::vector<C> d(block);
-    for (index_t b = 0; b < block; ++b) {
-      index_t idx = 0;
-      for (int l = 0; l < k; ++l)
-        if (bits::test(b, static_cast<qubit_t>(l))) idx = bits::set(idx, pos[l]);
-      C factor{T{1}};
-      for (const DiagonalTermT<T>& t : terms) {
-        if ((idx & t.cmask) != t.cmask) continue;
-        factor *= bits::test(idx, t.target) ? t.d1 : t.d0;
-      }
-      d[b] = factor;
-    }
-    apply_multi_diagonal<T>(a, bits::log2_floor(size), pos, d);
-    return;
-  }
-#pragma omp parallel for schedule(static) if (worth_parallelizing(size))
-  for (index_t i = 0; i < size; ++i) {
-    C factor{T{1}};
-    for (const DiagonalTermT<T>& t : terms) {
-      if ((i & t.cmask) != t.cmask) continue;
-      factor *= bits::test(i, t.target) ? t.d1 : t.d0;
-    }
-    a[i] *= factor;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Explicit instantiations: the kernel surface exists exactly for the
 // two amplitude precisions the engine exposes (Precision::kF64/kF32).
 // ---------------------------------------------------------------------
 
-#define QC_INSTANTIATE_KERNELS(T)                                                             \
-  template void apply_generic_masked<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,      \
-                                        index_t, const U2T<T>&, bool);                        \
-  template void apply_folded<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t,     \
-                                const U2T<T>&);                                               \
-  template void apply_diagonal<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,            \
-                                  basic_complex_t<T>, basic_complex_t<T>, index_t);           \
-  template void apply_x<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t);         \
-  template void apply_swap<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, qubit_t,       \
-                              index_t);                                                       \
-  template void apply_folded_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,       \
-                                       index_t, const U2T<T>&);                               \
-  template void apply_diagonal_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,     \
-                                         basic_complex_t<T>, basic_complex_t<T>, index_t);    \
-  template void apply_x_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t);  \
-  template void apply_swap_serial<T>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,         \
-                                     qubit_t, index_t);                                       \
-  template void apply_fused_diagonal<T>(std::span<basic_complex_t<T>>,                        \
-                                        std::span<const DiagonalTermT<T>>);                   \
-  template void apply_multi<T>(std::span<basic_complex_t<T>>, qubit_t,                        \
-                               std::span<const qubit_t>, std::span<const basic_complex_t<T>>); \
-  template void apply_multi_serial<T>(std::span<basic_complex_t<T>>, qubit_t,                 \
-                                      std::span<const qubit_t>,                               \
-                                      std::span<const basic_complex_t<T>>);                   \
-  template void apply_multi_diagonal<T>(std::span<basic_complex_t<T>>, qubit_t,               \
-                                        std::span<const qubit_t>,                             \
-                                        std::span<const basic_complex_t<T>>);                 \
-  template void apply_multi_diagonal_serial<T>(std::span<basic_complex_t<T>>, qubit_t,        \
-                                               std::span<const qubit_t>,                      \
-                                               std::span<const basic_complex_t<T>>);          \
-  template void apply_qubit_swaps<T>(std::span<basic_complex_t<T>>, qubit_t,                  \
-                                     std::span<const std::array<qubit_t, 2>>);
+#define QC_INSTANTIATE_KERNELS(T, Par)                                                        \
+  template void apply_generic_masked<T, Par>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, \
+                                             index_t, const U2T<T>&);                         \
+  template void apply_folded<T, Par>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,         \
+                                     index_t, const U2T<T>&);                                 \
+  template void apply_diagonal<T, Par>(std::span<basic_complex_t<T>>, qubit_t, qubit_t,       \
+                                       basic_complex_t<T>, basic_complex_t<T>, index_t);      \
+  template void apply_x<T, Par>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, index_t);    \
+  template void apply_swap<T, Par>(std::span<basic_complex_t<T>>, qubit_t, qubit_t, qubit_t,  \
+                                   index_t);                                                  \
+  template void apply_multi<T, Par>(std::span<basic_complex_t<T>>, qubit_t,                   \
+                                    std::span<const qubit_t>,                                 \
+                                    std::span<const basic_complex_t<T>>);                     \
+  template void apply_multi_diagonal<T, Par>(std::span<basic_complex_t<T>>, qubit_t,          \
+                                             std::span<const qubit_t>,                        \
+                                             std::span<const basic_complex_t<T>>);
 
-QC_INSTANTIATE_KERNELS(float)
-QC_INSTANTIATE_KERNELS(double)
+QC_INSTANTIATE_KERNELS(float, true)
+QC_INSTANTIATE_KERNELS(float, false)
+QC_INSTANTIATE_KERNELS(double, true)
+QC_INSTANTIATE_KERNELS(double, false)
 
 #undef QC_INSTANTIATE_KERNELS
+
+template void apply_qubit_swaps<float>(std::span<basic_complex_t<float>>, qubit_t,
+                                       std::span<const std::array<qubit_t, 2>>);
+template void apply_qubit_swaps<double>(std::span<basic_complex_t<double>>, qubit_t,
+                                        std::span<const std::array<qubit_t, 2>>);
 
 }  // namespace qc::sim::kernels

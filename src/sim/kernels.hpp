@@ -1,34 +1,39 @@
 // Gate-application kernels on raw amplitude arrays.
 //
-// Three tiers, matching the three simulators the paper benchmarks
-// against each other (§4.5):
+// Two tiers, matching the simulators the paper benchmarks against each
+// other (§4.5):
 //
 //  * generic_masked — the unspecialized kernel: traverses every
 //    (target=0, target=1) amplitude pair, checks the control mask per
 //    pair, and performs the full 2x2 complex multiply even for diagonal
-//    or permutation gates. LiquidLike uses it single-threaded,
-//    QhipsterLike uses it with OpenMP.
+//    or permutation gates. LiquidLike runs it serial, QhipsterLike
+//    parallel.
 //
-//  * folded / diagonal / x fast paths — "our simulator": enumerate only
-//    the amplitudes a gate actually changes. A controlled phase shift
-//    touches a quarter of the state vector (the paper's §3.2 counts
-//    exactly this), a NOT is a pure swap with zero flops, and controls
-//    fold into the index enumeration instead of a per-pair branch.
+//  * folded / diagonal / x / swap fast paths and the k-qubit dense and
+//    diagonal blocks — "our simulator": enumerate only the amplitudes a
+//    gate actually changes. A controlled phase shift touches a quarter
+//    of the state vector (the paper's §3.2 counts exactly this), a NOT
+//    is a pure swap with zero flops, and controls fold into the index
+//    enumeration instead of a per-pair branch.
 //
-//  * fused diagonal runs — consecutive diagonal gates commute and can be
-//    applied in a single memory sweep; exposed for the ablation bench.
+// Every kernel body is written once, as a template on the real
+// amplitude scalar T in {float, double} and on `bool Par`:
 //
-// Every kernel is templated on the real amplitude scalar T in
-// {float, double}: fp64 is the reference, fp32 halves the bytes each
-// sweep moves (the paper's figure of merit is bandwidth, §4.2). The
-// contiguous-run inner loops of the dense 2x2 / 4x4 and diagonal kernels
-// are further routed through runtime-dispatched SIMD microkernels
-// (kernels_dispatch.hpp) so one portable binary still saturates AVX2 /
-// AVX-512 hosts.
+//  * T: fp64 is the reference, fp32 halves the bytes each sweep moves
+//    (the paper's figure of merit is bandwidth, §4.2). The contiguous-run
+//    inner loops of the dense 2x2 / 4x4 and diagonal kernels go through
+//    runtime-dispatched SIMD microkernels (kernels_dispatch.hpp), so one
+//    portable binary still saturates AVX2 / AVX-512 hosts.
+//  * Par = true (the default) splits the kernel's index range into one
+//    contiguous share per thread inside a single `omp parallel` region,
+//    when the state is large enough to amortize the fork. Par = false
+//    runs the same body over the whole range on the calling thread and
+//    never opens a region: the cache-blocked executor (qc::sched) calls
+//    it on one cache-resident chunk from inside its own cross-chunk
+//    parallel loop.
 //
-// All kernels are race-free under OpenMP: iteration index j maps to a
-// unique amplitude (pair), so static scheduling partitions memory
-// disjointly.
+// All kernels are race-free: index j of the split range maps to a
+// unique amplitude (pair or block), so the shares touch disjoint memory.
 #pragma once
 
 #include <array>
@@ -118,10 +123,9 @@ std::vector<qubit_t> sorted_bit_positions(index_t mask, std::initializer_list<qu
 // ---------------------------------------------------------------------
 
 /// Full pair traversal with per-pair control check and dense 2x2 math.
-/// `parallel` selects OpenMP (QhipsterLike) vs serial (LiquidLike).
-template <typename T>
+template <typename T, bool Par = true>
 void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                          index_t cmask, const U2T<T>& u, bool parallel);
+                          index_t cmask, const U2T<T>& u);
 
 // ---------------------------------------------------------------------
 // Specialized tier ("our simulator").
@@ -129,73 +133,25 @@ void apply_generic_masked(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t ta
 
 /// Control-folded dense 2x2: enumerates only pairs whose controls are
 /// satisfied (2^{n-1-c} pairs instead of 2^{n-1}).
-template <typename T>
+template <typename T, bool Par = true>
 void apply_folded(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask,
                   const U2T<T>& u);
 
 /// Diagonal gate diag(d0, d1) on `target`, controls folded. If d0 == 1
 /// (Z, S, T, R(theta)/CR) only the target=1, controls=1 quarter/half is
 /// touched; otherwise a single in-place sweep of the controls=1 part.
-template <typename T>
+template <typename T, bool Par = true>
 void apply_diagonal(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
                     basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask);
 
 /// NOT/CNOT/Toffoli as a pure amplitude swap (no flops), controls folded.
-template <typename T>
+template <typename T, bool Par = true>
 void apply_x(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask);
 
 /// SWAP gate: exchanges amplitudes where the two target bits differ.
-template <typename T>
+template <typename T, bool Par = true>
 void apply_swap(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
                 index_t cmask);
-
-// ---------------------------------------------------------------------
-// Serial chunk-local variants (cache-blocked execution, qc::sched).
-//
-// Same math as the parallel kernels above, with no OpenMP region: the
-// cache-blocked executor parallelizes *across* chunks and calls these on
-// one cache-resident chunk (a, n = chunk width) from inside that outer
-// parallel loop, so the inner kernels must stay serial.
-// ---------------------------------------------------------------------
-
-template <typename T>
-void apply_folded_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                         index_t cmask, const U2T<T>& u);
-template <typename T>
-void apply_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target,
-                           basic_complex_t<T> d0, basic_complex_t<T> d1, index_t cmask);
-template <typename T>
-void apply_x_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t target, index_t cmask);
-template <typename T>
-void apply_swap_serial(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t qa, qubit_t qb,
-                       index_t cmask);
-
-// ---------------------------------------------------------------------
-// Fusion tier.
-// ---------------------------------------------------------------------
-
-/// One gate of a fused diagonal run.
-template <typename T>
-struct DiagonalTermT {
-  qubit_t target = 0;
-  index_t cmask = 0;
-  basic_complex_t<T> d0{T{1}}, d1{T{1}};
-};
-
-/// Double-precision alias — what the fusion planner emits.
-using DiagonalTerm = DiagonalTermT<double>;
-
-/// Applies a run of diagonal gates in a single sweep: each amplitude is
-/// multiplied by the product of its per-gate factors. One memory pass
-/// instead of terms.size() passes — the memory-bound win measured by the
-/// ablation bench. When the union of the terms' support (targets plus
-/// controls) spans at most kMaxFusedWidth qubits, the per-amplitude
-/// factor depends only on those bits: the 2^k factor table is built once
-/// and the sweep dispatches to apply_multi_diagonal, replacing the
-/// O(size x terms) branchy inner loop with one table lookup.
-template <typename T>
-void apply_fused_diagonal(std::span<basic_complex_t<T>> a,
-                          std::span<const DiagonalTermT<T>> terms);
 
 // ---------------------------------------------------------------------
 // k-qubit dense tier (gate fusion).
@@ -213,28 +169,17 @@ inline constexpr qubit_t kMaxFusedWidth = 8;
 /// 2^k-amplitude block, multiplies by `u`, scatters back. This is the
 /// generalized-BitExpander execution engine for fused gate blocks: one
 /// memory pass replaces one pass per original gate.
-template <typename T>
+template <typename T, bool Par = true>
 void apply_multi(std::span<basic_complex_t<T>> a, qubit_t n, std::span<const qubit_t> targets,
                  std::span<const basic_complex_t<T>> u);
 
 /// Diagonal specialization of apply_multi: multiplies each amplitude by
 /// the diagonal entry `d[b]` selected by its k target bits (d has 2^k
 /// entries). Single in-place sweep, no gather/scatter.
-template <typename T>
+template <typename T, bool Par = true>
 void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
                           std::span<const qubit_t> targets,
                           std::span<const basic_complex_t<T>> d);
-
-/// Serial chunk-local variants of the k-qubit tier (see the serial
-/// single-gate variants above for the calling convention).
-template <typename T>
-void apply_multi_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                        std::span<const qubit_t> targets,
-                        std::span<const basic_complex_t<T>> u);
-template <typename T>
-void apply_multi_diagonal_serial(std::span<basic_complex_t<T>> a, qubit_t n,
-                                 std::span<const qubit_t> targets,
-                                 std::span<const basic_complex_t<T>> d);
 
 // ---------------------------------------------------------------------
 // Qubit remapping (cache-blocked scheduler's local/global relocation).

@@ -32,9 +32,8 @@ void Simulator::run(StateVector& sv, const circuit::Circuit& c) const {
   for (const Gate& g : c.gates()) apply_gate(sv, g);
 }
 
-template <typename T>
-void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g,
-                        bool parallel) {
+template <typename T, bool Par>
+void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
   using C = basic_complex_t<T>;
   if (g.kind == GateKind::Swap) {
     // Lower SWAP to three CNOTs through the generic kernel — what an
@@ -42,87 +41,58 @@ void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& 
     const qubit_t qa = g.targets[0], qb = g.targets[1];
     const index_t cmask = control_mask(g);
     const kernels::U2T<T> x{C{}, C{T{1}}, C{T{1}}, C{}};
-    kernels::apply_generic_masked<T>(a, n, qb, cmask | (index_t{1} << qa), x, parallel);
-    kernels::apply_generic_masked<T>(a, n, qa, cmask | (index_t{1} << qb), x, parallel);
-    kernels::apply_generic_masked<T>(a, n, qb, cmask | (index_t{1} << qa), x, parallel);
+    kernels::apply_generic_masked<T, Par>(a, n, qb, cmask | (index_t{1} << qa), x);
+    kernels::apply_generic_masked<T, Par>(a, n, qa, cmask | (index_t{1} << qb), x);
+    kernels::apply_generic_masked<T, Par>(a, n, qb, cmask | (index_t{1} << qa), x);
     return;
   }
-  kernels::apply_generic_masked<T>(a, n, g.targets[0], control_mask(g),
-                                   kernels::u2_cast<T>(target_block(g)), parallel);
+  kernels::apply_generic_masked<T, Par>(a, n, g.targets[0], control_mask(g),
+                                        kernels::u2_cast<T>(target_block(g)));
 }
 
-template void apply_gate_generic<float>(std::span<basic_complex_t<float>>, qubit_t,
-                                        const Gate&, bool);
-template void apply_gate_generic<double>(std::span<basic_complex_t<double>>, qubit_t,
-                                         const Gate&, bool);
-
 void LiquidLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, /*parallel=*/false);
+  apply_gate_generic<double, false>(sv.amplitudes(), sv.qubits(), g);
 }
 
 void QhipsterLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g, /*parallel=*/true);
+  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g);
 }
 
-template <typename T>
+template <typename T, bool Par>
 void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
   using C = basic_complex_t<T>;
   const index_t cmask = control_mask(g);
   if (g.kind == GateKind::Swap) {
-    kernels::apply_swap<T>(a, n, g.targets[0], g.targets[1], cmask);
+    kernels::apply_swap<T, Par>(a, n, g.targets[0], g.targets[1], cmask);
     return;
   }
   const qubit_t t = g.targets[0];
   if (g.kind == GateKind::X) {
-    kernels::apply_x<T>(a, n, t, cmask);
+    kernels::apply_x<T, Par>(a, n, t, cmask);
     return;
   }
   if (g.diagonal()) {
     const auto [d0, d1] = diagonal_entries(g);
-    kernels::apply_diagonal<T>(a, n, t, static_cast<C>(d0), static_cast<C>(d1), cmask);
+    kernels::apply_diagonal<T, Par>(a, n, t, static_cast<C>(d0), static_cast<C>(d1), cmask);
     return;
   }
-  kernels::apply_folded<T>(a, n, t, cmask, kernels::u2_cast<T>(target_block(g)));
+  kernels::apply_folded<T, Par>(a, n, t, cmask, kernels::u2_cast<T>(target_block(g)));
 }
 
-template void apply_gate_hpc<float>(std::span<basic_complex_t<float>>, qubit_t, const Gate&);
-template void apply_gate_hpc<double>(std::span<basic_complex_t<double>>, qubit_t, const Gate&);
+#define QC_INSTANTIATE_GATE_DISPATCH(T, Par)                                                  \
+  template void apply_gate_generic<T, Par>(std::span<basic_complex_t<T>>, qubit_t,            \
+                                           const Gate&);                                      \
+  template void apply_gate_hpc<T, Par>(std::span<basic_complex_t<T>>, qubit_t, const Gate&);
+
+QC_INSTANTIATE_GATE_DISPATCH(float, true)
+QC_INSTANTIATE_GATE_DISPATCH(float, false)
+QC_INSTANTIATE_GATE_DISPATCH(double, true)
+QC_INSTANTIATE_GATE_DISPATCH(double, false)
+
+#undef QC_INSTANTIATE_GATE_DISPATCH
 
 void HpcSimulator::apply_gate(StateVector& sv, const Gate& g) const {
   apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
-}
-
-void HpcSimulator::run(StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  const auto& gates = c.gates();
-  if (!opts_.fuse_diagonal_runs) {
-    for (const Gate& g : gates) apply_gate(sv, g);
-    return;
-  }
-  // Peephole: collect maximal runs of diagonal gates (they all commute)
-  // and apply each run in one sweep.
-  std::vector<kernels::DiagonalTerm> run_terms;
-  std::size_t i = 0;
-  while (i < gates.size()) {
-    if (!gates[i].diagonal()) {
-      apply_gate(sv, gates[i]);
-      ++i;
-      continue;
-    }
-    run_terms.clear();
-    while (i < gates.size() && gates[i].diagonal() &&
-           run_terms.size() < opts_.max_fused_terms) {
-      const auto [d0, d1] = diagonal_entries(gates[i]);
-      run_terms.push_back({gates[i].targets[0], control_mask(gates[i]), d0, d1});
-      ++i;
-    }
-    if (run_terms.size() == 1) {
-      kernels::apply_diagonal<double>(sv.amplitudes(), sv.qubits(), run_terms[0].target,
-                                      run_terms[0].d0, run_terms[0].d1, run_terms[0].cmask);
-    } else {
-      kernels::apply_fused_diagonal<double>(sv.amplitudes(), run_terms);
-    }
-  }
 }
 
 std::unique_ptr<Simulator> make_simulator(const std::string& name) {

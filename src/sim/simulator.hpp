@@ -1,8 +1,7 @@
 // The three gate-level simulators benchmarked in the paper's §4.5.
 //
 //  * HpcSimulator — "our simulator": control-folded enumeration, diagonal
-//    and NOT fast paths, native SWAP kernel, optional fusion of diagonal
-//    runs. This is the baseline the emulator's speedups are measured
+//    and NOT fast paths, native SWAP kernel. This is the baseline the emulator's speedups are measured
 //    against (so those speedups are not artifacts of a slow simulator —
 //    the point of the paper's Figs. 4-6).
 //
@@ -38,21 +37,20 @@ namespace qc::sim {
 /// Diagonal entries (d0, d1) of a diagonal gate's target block.
 [[nodiscard]] std::pair<complex_t, complex_t> diagonal_entries(const circuit::Gate& g);
 
-/// HpcSimulator's specialized single-gate dispatch on a raw amplitude
-/// array (2^n amplitudes) — the span-level entry point executors that do
-/// not own a StateVector (blocked plans on a rank's local chunk) share
-/// with HpcSimulator::apply_gate. Templated on the amplitude scalar; the
-/// (double-precision) gate block is narrowed once per gate, not per
-/// amplitude.
-template <typename T>
+/// The one map from a circuit::Gate to a specialized kernel, on a raw
+/// array of 2^n amplitudes. HpcSimulator, the cache-blocked sweeps
+/// (Par = false, on one chunk), blocked-plan Global items and the
+/// distributed state's rank-local gates all apply gates through it.
+/// Templated on the amplitude scalar; the (double-precision) gate block
+/// is narrowed once per gate, not per amplitude.
+template <typename T, bool Par = true>
 void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g);
 
 /// The unspecialized per-gate dispatch (the qhipster-/liquid-like tier)
 /// on a raw amplitude array: every gate through the generic masked 2x2
-/// kernel, SWAP lowered to three CNOTs. `parallel` selects OpenMP.
-template <typename T>
-void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g,
-                        bool parallel);
+/// kernel, SWAP lowered to three CNOTs.
+template <typename T, bool Par = true>
+void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g);
 
 class Simulator {
  public:
@@ -81,26 +79,8 @@ class QhipsterLikeSimulator final : public Simulator {
 
 class HpcSimulator final : public Simulator {
  public:
-  struct Options {
-    /// Fuse maximal runs of consecutive diagonal gates into one sweep.
-    /// Off by default: the paper's simulator applies gates one by one;
-    /// fusion is quantified separately by the ablation bench.
-    bool fuse_diagonal_runs = false;
-    /// Cap on gates per fused sweep. Fusion trades memory passes for
-    /// per-amplitude work; beyond ~8 terms the sweep turns compute
-    /// bound and loses (measured by bench/ablation_kernels).
-    std::size_t max_fused_terms = 8;
-  };
-
-  HpcSimulator() = default;
-  explicit HpcSimulator(Options opts) : opts_(opts) {}
-
   [[nodiscard]] std::string name() const override { return "hpc"; }
   void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-  void run(StateVector& sv, const circuit::Circuit& c) const override;
-
- private:
-  Options opts_;
 };
 
 /// Factory by name ("hpc", "qhipster-like", "liquid-like", "fused",

@@ -5,6 +5,7 @@
 // contract (§3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numbers>
@@ -440,11 +441,29 @@ TEST(Emulator, TracedQftEmitsSpanWithCosts) {
   const double state_bytes = static_cast<double>(dim(n) * sizeof(complex_t));
   EXPECT_EQ(qfts[0]->arg("width"), 4);
   EXPECT_EQ(qfts[0]->arg("batches"), static_cast<double>(dim(n - 4)));
-  EXPECT_EQ(qfts[0]->arg("mem_bytes"), 4 * state_bytes);
+  EXPECT_EQ(qfts[0]->arg("mem_bytes"), 2 * state_bytes);  // one-pass transform
   EXPECT_EQ(qfts[0]->arg("flops"), 5.0 * static_cast<double>(dim(n)) * 4);
   EXPECT_EQ(qfts[1]->arg("width"), n);
   EXPECT_EQ(qfts[1]->arg("batches"), 1);
   EXPECT_EQ(qfts[1]->arg("flops"), 5.0 * static_cast<double>(dim(n)) * n);
+}
+
+TEST(Emulator, TracedWideQftCountsTwoPasses) {
+  // Past 2^11 points the transform runs its two-pass schedule, so the
+  // span charges two read + write sweeps of the state.
+  const qubit_t n = 13;
+  StateVector sv = random_state(n, 8);
+  obs::Tracer tracer;
+  {
+    const obs::ScopedTracer scoped(&tracer);
+    Emulator(sv).qft({1, 12});
+  }
+  const obs::TraceData data = tracer.collect();
+  const auto it = std::find_if(data.spans.begin(), data.spans.end(),
+                               [](const auto& s) { return s.name == "emu.qft"; });
+  ASSERT_NE(it, data.spans.end());
+  EXPECT_EQ(it->arg("width"), 12);
+  EXPECT_EQ(it->arg("mem_bytes"), 4.0 * static_cast<double>(dim(n) * sizeof(complex_t)));
 }
 
 TEST(Emulator, QftOnPeriodicStateDetectsPeriod) {

@@ -69,6 +69,26 @@ TEST(Precision, DeepRandomDenseStaysWithinErrorBound) {
     EXPECT_LE(precision_drift(p, backend), 1e-6) << backend;
 }
 
+TEST(Precision, FusedMatchesHpcAtBothPrecisions) {
+  // The fused backend runs each fused op as a Global item of the blocked
+  // executor; at either precision it must agree with per-gate hpc.
+  const qubit_t n = 13;
+  Rng rng(5);
+  Program p(n);
+  p.gates(circuit::random_circuit(n, 300, rng));
+  const Engine eng;
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    RunOptions opts;
+    opts.precision = precision;
+    opts.backend = "hpc";
+    const Result ref = eng.run(p, opts);
+    opts.backend = "fused";
+    const Result r = eng.run(p, opts);
+    EXPECT_LT(r.state.max_abs_diff(ref.state), precision == Precision::kF64 ? 1e-12 : 1e-6)
+        << (precision == Precision::kF64 ? "fp64" : "fp32");
+  }
+}
+
 TEST(Precision, Fp32StateStaysNormalized) {
   const Engine eng;
   RunOptions opts;

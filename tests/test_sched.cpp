@@ -1,13 +1,14 @@
 // Tests for the cache-blocked execution layer (src/sched): the sweep
 // scheduler's partitioning/coverage invariants, the qubit-remap
 // machinery (swap kernel, unitary re-permutation, restore-to-identity),
-// the serial chunk-local kernels, and randomized agreement between the
+// the kernels' serial and parallel instantiations, and randomized agreement between the
 // "cached" backend and HpcSimulator across qubit counts, chunk widths,
 // and remap-triggering workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numbers>
+#include <numeric>
 #include <set>
 
 #include "circuit/builders.hpp"
@@ -210,77 +211,162 @@ TEST(QubitSwapKernel, InvolutionRoundTrips) {
   EXPECT_LT(a.max_abs_diff(orig), 1e-15);
 }
 
-TEST(SerialKernels, MatchParallelOnRandomGates) {
-  const qubit_t n = 8;
-  Rng rng(21);
-  const Circuit c = circuit::random_circuit(n, 60, rng);
-  sim::StateVector a = random_state(n, 22);
-  sim::StateVector b = copy_state(a);
-  const sim::HpcSimulator hpc;
-  for (const Gate& g : c.gates()) {
-    hpc.apply_gate(a, g);
-    // Serial chunk-local dispatch with the whole state as one chunk.
-    const auto span = b.amplitudes();
-    const index_t cmask = sim::control_mask(g);
-    if (g.kind == GateKind::Swap) {
-      sim::kernels::apply_swap_serial(span, n, g.targets[0], g.targets[1], cmask);
-    } else if (g.kind == GateKind::X) {
-      sim::kernels::apply_x_serial(span, n, g.targets[0], cmask);
-    } else if (g.diagonal()) {
-      const auto [d0, d1] = sim::diagonal_entries(g);
-      sim::kernels::apply_diagonal_serial(span, n, g.targets[0], d0, d1, cmask);
-    } else {
-      sim::kernels::apply_folded_serial(span, n, g.targets[0], cmask, sim::target_block(g));
+// --- one kernel body, instantiated serial and parallel ------------------
+//
+// Every single-gate kernel and the k-qubit dense / diagonal kernels run
+// at Par in {true, false} x {float, double} against a plain fp64
+// reference loop. n = 16 is large enough that Par = true really forks
+// (the split kicks in from 2^12 iterations) for up to three controls.
+
+namespace kn = sim::kernels;
+
+enum class KernelKind { Generic, Folded, Phase, Diagonal, X, Swap };
+
+/// Reference controlled 2x2 on `t` (or controlled SWAP of t, t2): a
+/// plain loop over every index.
+void reference_gate(std::vector<complex_t>& a, KernelKind kind, qubit_t t, qubit_t t2,
+                    index_t cmask, const kn::U2& u) {
+  const index_t tbit = index_t{1} << t, t2bit = index_t{1} << t2;
+  for (index_t i = 0; i < a.size(); ++i) {
+    if ((i & cmask) != cmask || (i & tbit) != 0) continue;
+    if (kind == KernelKind::Swap) {
+      if ((i & t2bit) != 0) std::swap(a[i], a[(i | tbit) & ~t2bit]);
+      continue;
+    }
+    const complex_t x0 = a[i], x1 = a[i | tbit];
+    a[i] = u.m00 * x0 + u.m01 * x1;
+    a[i | tbit] = u.m10 * x0 + u.m11 * x1;
+  }
+}
+
+/// n distinct qubits in random order, with `first` moved to the front.
+std::vector<qubit_t> shuffled_qubits(qubit_t n, qubit_t first, Rng& rng) {
+  std::vector<qubit_t> qs(n);
+  std::iota(qs.begin(), qs.end(), qubit_t{0});
+  for (qubit_t i = n - 1; i > 0; --i) std::swap(qs[i], qs[rng.uniform_u64(i + 1)]);
+  std::swap(qs[0], *std::find(qs.begin(), qs.end(), first));
+  return qs;
+}
+
+template <typename T>
+std::vector<complex_t> widened(const sim::BasicStateVector<T>& sv) {
+  const auto a = sv.amplitudes();
+  return {a.begin(), a.end()};
+}
+
+template <typename T>
+double max_diff(const sim::BasicStateVector<T>& sv, const std::vector<complex_t>& ref) {
+  double m = 0;
+  for (index_t i = 0; i < ref.size(); ++i)
+    m = std::max(m, std::abs(static_cast<complex_t>(sv.amplitudes()[i]) - ref[i]));
+  return m;
+}
+
+template <typename T, bool Par>
+void check_single_gate_kernels(double tol) {
+  using C = basic_complex_t<T>;
+  const qubit_t n = 16;
+  Rng rng(Par ? 101 : 202);
+  for (const KernelKind kind : {KernelKind::Generic, KernelKind::Folded, KernelKind::Phase,
+                                KernelKind::Diagonal, KernelKind::X, KernelKind::Swap}) {
+    for (qubit_t controls = 0; controls <= 3; ++controls) {
+      // Target on the top qubit (one run spanning half the state), on
+      // qubit 0 (many one-amplitude runs), and on a random qubit.
+      for (const qubit_t first : {qubit_t{n - 1}, qubit_t{0},
+                                  static_cast<qubit_t>(rng.uniform_u64(n))}) {
+        const std::vector<qubit_t> qs = shuffled_qubits(n, first, rng);
+        const qubit_t t = qs[0], t2 = qs[1];
+        index_t cmask = 0;
+        for (qubit_t c = 0; c < controls; ++c) cmask = bits::set(cmask, qs[2 + c]);
+        const complex_t p0 = std::polar(1.0, rng.uniform(0, 6.3));
+        const complex_t p1 = std::polar(1.0, rng.uniform(0, 6.3));
+        const linalg::Matrix m = linalg::Matrix::random_unitary(2, rng);
+        kn::U2 u{m(0, 0), m(0, 1), m(1, 0), m(1, 1)};
+        if (kind == KernelKind::Phase) u = {1.0, 0.0, 0.0, p1};
+        if (kind == KernelKind::Diagonal) u = {p0, 0.0, 0.0, p1};
+        if (kind == KernelKind::X) u = {0.0, 1.0, 1.0, 0.0};
+
+        sim::BasicStateVector<T> sv(n);
+        sv.randomize_deterministic(rng.next_u64());
+        std::vector<complex_t> ref = widened(sv);
+        const auto a = sv.amplitudes();
+        switch (kind) {
+          case KernelKind::Generic:
+            kn::apply_generic_masked<T, Par>(a, n, t, cmask, kn::u2_cast<T>(u));
+            break;
+          case KernelKind::Folded: kn::apply_folded<T, Par>(a, n, t, cmask, kn::u2_cast<T>(u)); break;
+          case KernelKind::Phase:
+          case KernelKind::Diagonal:
+            kn::apply_diagonal<T, Par>(a, n, t, static_cast<C>(u.m00), static_cast<C>(u.m11),
+                                       cmask);
+            break;
+          case KernelKind::X: kn::apply_x<T, Par>(a, n, t, cmask); break;
+          case KernelKind::Swap: kn::apply_swap<T, Par>(a, n, t, t2, cmask); break;
+        }
+        reference_gate(ref, kind, t, t2, cmask, u);
+        EXPECT_LT(max_diff(sv, ref), tol) << "kind " << static_cast<int>(kind) << " controls "
+                                          << controls << " target " << t;
+      }
     }
   }
-  EXPECT_LT(a.max_abs_diff(b), 1e-12);
 }
 
-TEST(SerialKernels, MultiSerialMatchesParallel) {
-  const qubit_t n = 9;
-  Rng rng(31);
+template <typename T, bool Par>
+void check_multi_kernels(double tol) {
+  using C = basic_complex_t<T>;
+  const qubit_t n = 16;
+  Rng rng(Par ? 303 : 404);
   for (qubit_t k = 1; k <= 7; ++k) {
-    const linalg::Matrix u = linalg::Matrix::random_unitary(dim(k), rng);
-    std::vector<qubit_t> targets;
-    for (qubit_t q = 0; q < k; ++q) targets.push_back(q + (k % 2));
-    sim::StateVector a = random_state(n, 40 + k);
-    sim::StateVector b = copy_state(a);
-    const std::span<const complex_t> us{u.data(), u.rows() * u.cols()};
-    sim::kernels::apply_multi(a.amplitudes(), n, targets, us);
-    sim::kernels::apply_multi_serial(b.amplitudes(), n, targets, us);
-    EXPECT_LT(a.max_abs_diff(b), 1e-13) << "k=" << k;
+    std::vector<qubit_t> targets = shuffled_qubits(n, 0, rng);
+    targets.resize(k);
+    std::sort(targets.begin(), targets.end());
+    const index_t block = dim(k);
+    const linalg::Matrix u = linalg::Matrix::random_unitary(block, rng);
+    std::vector<complex_t> d(block);
+    for (complex_t& x : d) x = std::polar(1.0, rng.uniform(0, 6.3));
+    std::vector<C> ut(u.data(), u.data() + block * block), dt(d.begin(), d.end());
+    for (const bool diagonal : {false, true}) {
+      sim::BasicStateVector<T> sv(n);
+      sv.randomize_deterministic(rng.next_u64());
+      std::vector<complex_t> ref = widened(sv);
+      if (diagonal) {
+        kn::apply_multi_diagonal<T, Par>(sv.amplitudes(), n, targets, dt);
+      } else {
+        kn::apply_multi<T, Par>(sv.amplitudes(), n, targets, ut);
+      }
+      // Reference: gather each 2^k block (local bit l <-> targets[l]).
+      std::vector<complex_t> x(block);
+      std::vector<index_t> offs(block, 0);
+      for (index_t b = 0; b < block; ++b)
+        for (qubit_t l = 0; l < k; ++l)
+          if (bits::test(b, l)) offs[b] = bits::set(offs[b], targets[l]);
+      for (index_t i = 0; i < ref.size(); ++i) {
+        if ((i & offs[block - 1]) != 0) continue;
+        for (index_t b = 0; b < block; ++b) x[b] = ref[i | offs[b]];
+        for (index_t r = 0; r < block; ++r) {
+          complex_t acc{};
+          for (index_t c = 0; c < block; ++c)
+            acc += diagonal ? (r == c ? d[r] : complex_t{}) * x[c] : u(r, c) * x[c];
+          ref[i | offs[r]] = acc;
+        }
+      }
+      EXPECT_LT(max_diff(sv, ref), tol) << "k=" << k << " diagonal " << diagonal;
+    }
   }
 }
 
-TEST(FusedDiagonalFastPath, MatchesPerGateApplication) {
-  const qubit_t n = 10;
-  // Union support {0, 2, 5, 7} spans 4 qubits: takes the factor-table
-  // path. Compare against per-term apply_diagonal.
-  std::vector<sim::kernels::DiagonalTerm> terms{
-      {0, 0, complex_t{1.0}, complex_t{0.0, 1.0}},
-      {2, bits::set(index_t{0}, 5), complex_t{1.0}, std::polar(1.0, 0.7)},
-      {7, bits::set(index_t{0}, 0), std::polar(1.0, -0.4), std::polar(1.0, 0.9)},
-  };
-  sim::StateVector a = random_state(n, 55);
-  sim::StateVector b = copy_state(a);
-  sim::kernels::apply_fused_diagonal<double>(a.amplitudes(), terms);
-  for (const auto& t : terms)
-    sim::kernels::apply_diagonal(b.amplitudes(), n, t.target, t.d0, t.d1, t.cmask);
-  EXPECT_LT(a.max_abs_diff(b), 1e-13);
+TEST(SerialKernels, SingleGateKernelsMatchReference) {
+  check_single_gate_kernels<double, false>(1e-12);
+  check_single_gate_kernels<float, false>(1e-6);
+  check_single_gate_kernels<double, true>(1e-12);
+  check_single_gate_kernels<float, true>(1e-6);
 }
 
-TEST(FusedDiagonalFastPath, WideSupportStillCorrect) {
-  const qubit_t n = 12;
-  // 10-qubit union support exceeds kMaxFusedWidth: generic loop path.
-  std::vector<sim::kernels::DiagonalTerm> terms;
-  for (qubit_t q = 0; q < 10; ++q)
-    terms.push_back({q, 0, complex_t{1.0}, std::polar(1.0, 0.1 * (q + 1))});
-  sim::StateVector a = random_state(n, 56);
-  sim::StateVector b = copy_state(a);
-  sim::kernels::apply_fused_diagonal<double>(a.amplitudes(), terms);
-  for (const auto& t : terms)
-    sim::kernels::apply_diagonal(b.amplitudes(), n, t.target, t.d0, t.d1, t.cmask);
-  EXPECT_LT(a.max_abs_diff(b), 1e-13);
+TEST(SerialKernels, MultiKernelsMatchReference) {
+  check_multi_kernels<double, false>(1e-12);
+  check_multi_kernels<float, false>(1e-6);
+  check_multi_kernels<double, true>(1e-12);
+  check_multi_kernels<float, true>(1e-6);
 }
 
 // --- fused-plan diagonal hoist (satellite: no alloc in execute) --------

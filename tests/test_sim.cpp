@@ -284,20 +284,6 @@ TEST_P(CircuitVsDense, SimulatorMatchesDenseUnitaryProduct) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CircuitVsDense, ::testing::Range<std::uint64_t>(1, 7));
 
-TEST(Simulators, FusionProducesSameState) {
-  Rng rng(77);
-  const qubit_t n = 8;
-  const Circuit c = circuit::qft(n);  // diagonal-heavy circuit
-  StateVector plain = random_state(n, 78);
-  StateVector fused(n);
-  std::copy(plain.amplitudes().begin(), plain.amplitudes().end(), fused.amplitudes().begin());
-  HpcSimulator().run(plain, c);
-  HpcSimulator::Options opts;
-  opts.fuse_diagonal_runs = true;
-  HpcSimulator(opts).run(fused, c);
-  EXPECT_LT(plain.max_abs_diff(fused), 1e-12);
-}
-
 TEST(Simulators, EntangleProducesGhz) {
   const qubit_t n = 6;
   StateVector sv(n);

@@ -131,7 +131,7 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto n = static_cast<qubit_t>(cli.get_int("qubits", 16));
   const int ranks = static_cast<int>(cli.get_int("ranks", 4));
@@ -298,3 +298,5 @@ int main(int argc, char** argv) {
                schedules.size(), completed, degraded, failed_typed);
   return 0;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }

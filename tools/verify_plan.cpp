@@ -21,6 +21,7 @@
 #include <string>
 
 #include "circuit/builders.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "fuse/fusion.hpp"
 #include "sched/dist_schedule.hpp"
@@ -148,7 +149,7 @@ int report(const char* label, bool corrupted, const std::function<void()>& verif
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int cli_main(int argc, char** argv) {
   const Args a = parse(argc, argv);
   const qc::circuit::Circuit c = build_circuit(a);
   const bool corrupted = a.corrupt != "none";
@@ -199,3 +200,5 @@ int main(int argc, char** argv) {
 
   return rc;
 }
+
+int main(int argc, char** argv) { return qc::run_main(argc, argv, cli_main); }
