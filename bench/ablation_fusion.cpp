@@ -32,7 +32,7 @@ static int cli_main(int argc, char** argv) {
       std::clamp(cli.get_int("qubits", full ? 24 : 20), 2L, 30L));
   const auto gates = static_cast<std::size_t>(
       std::max(cli.get_int("gates", full ? 600 : 400), 1L));
-  const auto max_k = std::min(static_cast<qubit_t>(cli.get_int("max-width", 6)),
+  const auto max_k = std::min(cli.get_qubits("max-width", 6),
                               sim::kernels::kMaxFusedWidth);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const bool raw = cli.has("raw");

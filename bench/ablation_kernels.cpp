@@ -128,7 +128,7 @@ double cell_seconds(const std::vector<Cell>& cells, const std::string& kernel,
 
 static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 22));
+  const qubit_t n = cli.get_qubits("qubits", 22);
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const std::string json_path = cli.get_string("json", "");
 

@@ -53,7 +53,7 @@ std::string json_escape(const std::string& s) {
 
 static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 20));
+  const qubit_t n = cli.get_qubits("qubits", 20);
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const bool metrics = cli.has("metrics");
   const std::string precision = cli.get_string("precision", "f64");

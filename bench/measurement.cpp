@@ -18,7 +18,7 @@
 static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
-  const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", cli.has("full") ? 24 : 20));
+  const qubit_t n = cli.get_qubits("qubits", cli.has("full") ? 24 : 20);
 
   bench::print_header("measurement",
                       "§3.4 — measurement statistics: exact one-pass vs sampling");

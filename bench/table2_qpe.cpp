@@ -59,8 +59,8 @@ models::QpeCosts scale_up(const models::QpeCosts& c, qubit_t n_from) {
 static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool full = cli.has("full");
-  const qubit_t n_min = static_cast<qubit_t>(cli.get_int("min-qubits", 6));
-  const qubit_t n_meas_max = static_cast<qubit_t>(cli.get_int("max-qubits", full ? 11 : 9));
+  const qubit_t n_min = cli.get_qubits("min-qubits", 6);
+  const qubit_t n_meas_max = cli.get_qubits("max-qubits", full ? 11 : 9);
   const qubit_t n_model_max = 14;
 
   bench::print_header("table2_qpe",

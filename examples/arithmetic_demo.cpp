@@ -29,7 +29,7 @@ double op_seconds(const qc::engine::Result& r, std::size_t index) {
 static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
-  const qubit_t m = static_cast<qubit_t>(cli.get_int("m", 6));
+  const qubit_t m = cli.get_qubits("m", 6);
 
   std::printf("multiplying two %u-bit registers on a superposition of all %llu\n"
               "input pairs\n\n",

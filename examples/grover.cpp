@@ -22,7 +22,7 @@
 static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
-  const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 12));
+  const qubit_t n = cli.get_qubits("qubits", 12);
   const index_t marked =
       static_cast<index_t>(cli.get_int("marked", 1234)) % dim(n);
 

@@ -20,7 +20,7 @@
 static int cli_main(int argc, char** argv) {
   using namespace qc;
   const Cli cli(argc, argv);
-  const qubit_t n = static_cast<qubit_t>(cli.get_int("qubits", 5));
+  const qubit_t n = cli.get_qubits("qubits", 5);
   const unsigned b = static_cast<unsigned>(cli.get_int("bits", 7));
   const double dt = cli.get_double("dt", 0.1);
 

@@ -44,7 +44,7 @@ static int cli_main(int argc, char** argv) {
   const index_t N = static_cast<index_t>(cli.get_int("N", 15));
   const index_t a = static_cast<index_t>(cli.get_int("a", 7));
   const revcirc::ShorLayout layout =
-      revcirc::ShorLayout::make(static_cast<qubit_t>(cli.get_int("t", 8)), N);
+      revcirc::ShorLayout::make(cli.get_qubits("t", 8), N);
   const qubit_t t = layout.t, w = layout.w;
 
   std::printf("order finding for a = %llu mod N = %llu\n",

@@ -65,6 +65,14 @@ long Cli::get_int(const std::string& name, long fallback) const {
                             [](const char* s, char** end) { return std::strtol(s, end, 10); });
 }
 
+qubit_t Cli::get_qubits(const std::string& name, long fallback) const {
+  const long value = get_int(name, fallback);
+  if (value < 1 || value > 63)
+    throw std::invalid_argument("--" + name + ": expected a qubit count in [1, 63], got " +
+                                std::to_string(value));
+  return static_cast<qubit_t>(value);
+}
+
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;

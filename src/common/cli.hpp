@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
+
 namespace qc {
 
 class Cli {
@@ -27,6 +29,11 @@ class Cli {
   /// value that is not entirely a number in range (e.g. "abc", "12x",
   /// "1e999") throws std::invalid_argument naming the option.
   [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+  /// Qubit count `--name`, or `fallback` when absent or bare: an integer
+  /// in [1, 63] (the widest state an index_t addresses). Anything else,
+  /// a negative count included, throws std::invalid_argument naming the
+  /// option instead of wrapping around in the cast to qubit_t.
+  [[nodiscard]] qubit_t get_qubits(const std::string& name, long fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] std::string get_string(const std::string& name, std::string fallback) const;
 

@@ -51,7 +51,8 @@ Builder open_block(const Gate& g) {
   b.is_block = true;
   b.support = support_mask(g);
   b.diagonal = g.diagonal();
-  b.qubits = sim::kernels::sorted_bit_positions(b.support);
+  const auto qubits = sim::kernels::sorted_bit_positions(b.support);
+  b.qubits.assign(qubits.begin(), qubits.end());
   b.unitary = circuit::gate_operator_on(g, b.qubits);
   b.sources = {g};
   return b;
@@ -72,7 +73,8 @@ bool commutes(const Builder& b, index_t gmask, bool gdiag) {
 void merge(Builder& b, const Gate& g, index_t gmask) {
   const index_t union_mask = b.support | gmask;
   if (union_mask != b.support) {
-    std::vector<qubit_t> wider = sim::kernels::sorted_bit_positions(union_mask);
+    const auto positions = sim::kernels::sorted_bit_positions(union_mask);
+    std::vector<qubit_t> wider(positions.begin(), positions.end());
     b.unitary = linalg::embed_operator(b.unitary, b.qubits, wider);
     b.qubits = std::move(wider);
     b.support = union_mask;

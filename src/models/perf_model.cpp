@@ -97,6 +97,13 @@ double t_state_pass_seconds(qubit_t n, const MachineParams& m, std::size_t amp_b
   return 2.0 * static_cast<double>(amp_bytes) * size / (m.b_mem_gbs * 1e9);
 }
 
+double t_mem_seconds(double bytes, const MachineParams& m) { return bytes / (m.b_mem_gbs * 1e9); }
+
+double remap_bytes(qubit_t n, std::size_t pairs, std::size_t amp_bytes) {
+  const double moved = 1.0 - std::ldexp(1.0, -static_cast<int>(pairs));
+  return 2.0 * static_cast<double>(amp_bytes) * std::ldexp(moved, static_cast<int>(n));
+}
+
 double t_blocked_execution_seconds(qubit_t n, std::size_t passes, const MachineParams& m,
                                    std::size_t amp_bytes) {
   return static_cast<double>(passes) * t_state_pass_seconds(n, m, amp_bytes);

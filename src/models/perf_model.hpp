@@ -108,6 +108,14 @@ double asymptotic_crossover_eig_coherent(qubit_t n);
 double t_state_pass_seconds(qubit_t n, const MachineParams& m,
                             std::size_t amp_bytes = sizeof(complex_t));
 
+/// Seconds to move `bytes` of DRAM traffic at m.b_mem_gbs.
+double t_mem_seconds(double bytes, const MachineParams& m);
+
+/// DRAM bytes of one in-place remap by `pairs` disjoint transpositions
+/// of a 2^n state: the fraction 1 - 2^-pairs of the amplitudes moves,
+/// each read once and written once.
+double remap_bytes(qubit_t n, std::size_t pairs, std::size_t amp_bytes = sizeof(complex_t));
+
 /// Predicted seconds for a blocked execution: `passes` full-vector
 /// passes (sweeps + remaps + un-blocked ops), bandwidth-bound.
 double t_blocked_execution_seconds(qubit_t n, std::size_t passes, const MachineParams& m,

@@ -112,11 +112,11 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
   // bijective remaps and in-budget chunks (see sched/verify_plan.hpp).
   verify_plan(plan);
 #endif
-  // Each plan item is priced at (multiples of) one full memory pass —
-  // t_state_pass_seconds is the prediction every span carries, so the
-  // model report can show how far this machine is from the Eq. 6
-  // bandwidth term the scheduler traded in. The pass cost follows the
-  // execution scalar: an fp32 pass moves half the bytes.
+  // Sweeps and global items are priced at one full memory pass
+  // (t_state_pass_seconds), remaps at the bytes they move, so the model
+  // report can show how far this machine is from the Eq. 6 bandwidth
+  // term the scheduler traded in. The cost follows the execution
+  // scalar: an fp32 pass moves half the bytes.
   const double pass_pred =
       obs::enabled() ? models::t_state_pass_seconds(plan.n, {}, sizeof(basic_complex_t<T>)) : 0;
   for (const PlanItem& item : plan.items) {
@@ -136,8 +136,12 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
       case PlanItem::Kind::Remap: {
         obs::Span span("sched.remap");
         if (obs::enabled()) {
-          span.arg("swaps", static_cast<double>(item.swaps.size()));
-          span.arg("pred_s", pass_pred);
+          const double bytes =
+              models::remap_bytes(plan.n, item.swaps.size(), sizeof(basic_complex_t<T>));
+          span.arg("pairs", static_cast<double>(item.swaps.size()));
+          span.arg("run_bits", sim::kernels::swap_run_bits(plan.n, item.swaps));
+          span.arg("mem_bytes", bytes);
+          span.arg("pred_s", models::t_mem_seconds(bytes, {}));
         }
         sim::kernels::apply_qubit_swaps<T>(a, plan.n, item.swaps);
         break;

@@ -13,7 +13,12 @@
 //    simulation is bandwidth bound, so fewer state traversals is the
 //    whole game).
 //  * Remap items relocate high qubits into the low block in one
-//    transposition pass (kernels::apply_qubit_swaps).
+//    in-place pass of the bit-permutation mover
+//    (kernels::apply_qubit_swaps): whole runs swap when only high bits
+//    move, L2-capped tiles permute through a per-thread buffer when low
+//    bits do, and no state-sized scratch is allocated. Their spans
+//    carry `pairs`, `run_bits` and `mem_bytes` (the bytes that move,
+//    which also price `pred_s`).
 //  * Global items (ops wider than a chunk, or not worth remapping) run
 //    as one parallel full-vector pass of the same kernels.
 //

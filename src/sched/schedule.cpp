@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -101,6 +102,32 @@ ChunkOp remap_item(const FusedItem& it, const std::vector<qubit_t>& perm, std::s
   out.gate_count = 1;
   out.source_index = idx;
   return out;
+}
+
+/// The remap rounds that move the qubit at every physical bit p to its
+/// home inv[p]: at most two disjoint transposition sets, since each cycle
+/// c_0 -> c_1 -> ... -> c_{L-1} of that permutation is the product of two
+/// reflections, c_i <-> c_{-i} (first) then c_i <-> c_{1-i} (mod L).
+std::vector<std::vector<std::array<qubit_t, 2>>> restore_rounds(
+    const std::vector<qubit_t>& inv) {
+  std::vector<std::vector<std::array<qubit_t, 2>>> rounds(2);
+  std::vector<bool> seen(inv.size());
+  std::vector<qubit_t> cycle;
+  for (qubit_t p = 0; p < inv.size(); ++p) {
+    if (seen[p] || inv[p] == p) continue;
+    cycle.clear();
+    for (qubit_t c = p; !seen[c]; c = inv[c]) {
+      seen[c] = true;
+      cycle.push_back(c);
+    }
+    const std::size_t len = cycle.size();
+    for (std::size_t i = 1; i < len - i; ++i) rounds[0].push_back({cycle[i], cycle[len - i]});
+    for (std::size_t i = 0; i < len; ++i)
+      if (const std::size_t j = (len + 1 - i) % len; i < j)
+        rounds[1].push_back({cycle[i], cycle[j]});
+  }
+  std::erase_if(rounds, [](const auto& r) { return r.empty(); });
+  return rounds;
 }
 
 }  // namespace
@@ -332,25 +359,16 @@ BlockedPlan schedule(const FusedCircuit& fc, const ScheduleOptions& opts) {
   }
   flush();
 
-  // Undo all remaps so the state leaves in logical qubit order. Each
-  // round emits a disjoint transposition set that homes at least one
-  // qubit per swap; any permutation settles in a few rounds.
-  while (true) {
-    std::vector<std::array<qubit_t, 2>> swaps;
-    index_t used = 0;
-    for (qubit_t p = 0; p < n; ++p) {
-      const qubit_t home = inv[p];
-      if (home == p || bits::test(used, p) || bits::test(used, home)) continue;
-      swaps.push_back({p, home});
-      used = bits::set(bits::set(used, p), home);
-    }
-    if (swaps.empty()) break;
+  // Undo all remaps so the state leaves in logical qubit order, in at
+  // most two transposition rounds.
+  for (auto& swaps : restore_rounds(inv)) {
+    commit_swaps(swaps);
     PlanItem item;
     item.kind = PlanItem::Kind::Remap;
-    item.swaps = swaps;
+    item.swaps = std::move(swaps);
     plan.items.push_back(std::move(item));
-    commit_swaps(swaps);
   }
+  assert(std::is_sorted(inv.begin(), inv.end()));
   if (obs::enabled()) {
     plan_span.arg("source_ops", static_cast<double>(plan.source_ops));
     plan_span.arg("items", static_cast<double>(plan.items.size()));

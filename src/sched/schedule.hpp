@@ -21,13 +21,16 @@
 //
 // When a run's qubits are not all local, the scheduler may insert an
 // explicit qubit-remap item — disjoint bit transpositions applied in
-// one pass (kernels::apply_qubit_swaps) — relocating high qubits into
+// one in-place pass of the bit-permutation mover
+// (kernels::apply_qubit_swaps: contiguous runs when only high bits
+// move, L2-capped tiles when low bits do) — relocating high qubits into
 // the low block, exactly dist_sv's local/global exchange at cache
 // level. Remapping is cost-gated through models/perf_model
 // (remap_profitable): a remap pays one pass now plus a share of the
 // final restore, and must be earned back by the upcoming ops it makes
-// chunk-local (scored over a lookahead window). Ops that stay global
-// execute as ordinary full-vector passes.
+// chunk-local (scored over a lookahead window). The restore at plan end
+// is at most two remap items, whatever permutation the plan ends in.
+// Ops that stay global execute as ordinary full-vector passes.
 #pragma once
 
 #include <array>

@@ -218,7 +218,7 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
   // touching a global qubit joins one collective chunk permutation.
   index_t seen = 0;
   std::vector<std::array<qubit_t, 2>> local_pairs;
-  std::vector<std::array<qubit_t, 2>> cross;  // {global, local}, sorted by local
+  std::vector<std::array<qubit_t, 2>> cross;  // {global, local}
   std::vector<std::array<qubit_t, 2>> global_pairs;
   for (const auto& p : pairs) {
     const qubit_t hi = std::max(p[0], p[1]);
@@ -234,20 +234,54 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
       global_pairs.push_back({lo, hi});
     }
   }
+  // Every local move goes through the one in-place mover; the span
+  // prices the bytes it moves.
+  const std::size_t amp_bytes = sizeof(value_type);
+  double mem_bytes = 0;
+  const auto move = [&](std::span<const std::array<qubit_t, 2>> swaps) {
+    kernels::apply_qubit_swaps<T>(local(), nl_, swaps);
+    mem_bytes += models::remap_bytes(nl_, swaps.size(), amp_bytes);
+  };
+  const auto annotate = [&](std::span<const std::array<qubit_t, 2>> moved, double net_s) {
+    if (!obs::enabled()) return;
+    span.arg("pairs", static_cast<double>(pairs.size()));
+    span.arg("run_bits", kernels::swap_run_bits(nl_, moved));
+    span.arg("bytes", static_cast<double>(bytes_comm_ - bytes_before));
+    span.arg("mem_bytes", mem_bytes);
+    span.arg("pred_s", models::t_mem_seconds(mem_bytes, {}) + net_s);
+  };
   // Disjoint transpositions commute, so the local part can run first.
-  if (!local_pairs.empty()) kernels::apply_qubit_swaps<T>(local(), nl_, local_pairs);
+  move(local_pairs);
   if (cross.empty() && global_pairs.empty()) {
-    if (obs::enabled() && !local_pairs.empty())
-      span.arg("pred_s", models::t_state_pass_seconds(nl_, {}, sizeof(value_type)));
+    annotate(local_pairs, 0);
     return;
   }
 
-  std::sort(cross.begin(), cross.end(),
-            [](const auto& a, const auto& b) { return a[1] < b[1]; });
+  // The k crossing local bits key the chunk's 2^k sub-blocks. The local
+  // transpositions `pack` lift them to the top k local bits, so every
+  // sub-block is one contiguous range the comm layer sends and receives
+  // in place; applying `pack` again afterwards puts the exchanged bits
+  // back (conjugating each crossing pair {g, top} by it yields {g, l}).
   const auto k = static_cast<qubit_t>(cross.size());
   if (k > 16) throw std::invalid_argument("apply_qubit_swaps: too many crossing pairs");
-  std::vector<qubit_t> low_pos(k);
-  for (qubit_t j = 0; j < k; ++j) low_pos[j] = cross[j][1];
+  const qubit_t top = nl_ - k;
+  std::vector<std::array<qubit_t, 2>> pack;
+  std::vector<qubit_t> global_at(k);  // global partner of local bit top + j
+  index_t taken = 0;
+  for (const auto& c : cross)
+    if (c[1] >= top) {
+      global_at[c[1] - top] = c[0];
+      taken = bits::set(taken, c[1] - top);
+    }
+  qubit_t free_slot = 0;
+  for (const auto& c : cross) {
+    if (c[1] >= top) continue;
+    while (bits::test(taken, free_slot)) ++free_slot;
+    pack.push_back({c[1], top + free_slot});
+    global_at[free_slot] = c[0];
+    taken = bits::set(taken, free_slot);
+  }
+  move(pack);
 
   const int rank = comm_->rank();
   // Rank with this rank's global-global bits swapped — every sub-block's
@@ -259,59 +293,38 @@ void BasicDistStateVector<T>::apply_qubit_swaps(
         bits::get(static_cast<index_t>(gg_rank), bb))
       gg_rank ^= static_cast<int>(bits::bit(ba) | bits::bit(bb));
   }
-  const index_t sub = dim(nl_) >> k;  // amplitudes per sub-block
-  const index_t blocks = dim(k);
-  const kernels::BitExpander expand{low_pos};
-  const auto deposit = [&](index_t key) {
-    index_t d = 0;
-    for (qubit_t j = 0; j < k; ++j)
-      if (bits::test(key, j)) d = bits::set(d, low_pos[j]);
-    return d;
-  };
   const auto partner = [&](index_t key) {
     auto r = static_cast<index_t>(gg_rank);
     for (qubit_t j = 0; j < k; ++j) {
-      const qubit_t bit = cross[j][0] - nl_;
+      const qubit_t bit = global_at[j] - nl_;
       r = bits::test(key, j) ? bits::set(r, bit) : bits::clear(r, bit);
     }
     return static_cast<int>(r);
   };
-
-  // Gather sub-block `key` (elements whose exchanged local bits equal
-  // key, ordered by the remaining bits) into scratch slot `key`.
-  for (index_t key = 0; key < blocks; ++key) {
-    value_type* out = scratch_.data() + key * sub;
-    const index_t base = deposit(key);
-#pragma omp parallel for schedule(static) if (worth_parallelizing(sub))
-    for (index_t j = 0; j < sub; ++j) out[j] = local_[expand(j) | base];
-  }
-  // Eager sends are buffered, so posting every send before any receive
-  // cannot deadlock. Sub-block `key` goes to the rank whose exchanged
-  // global bits equal key; the block arriving from that same rank is the
-  // one keyed by OUR old global bits and scatters into slot `key`.
+  // Eager sends copy their payload, so every sub-block is posted before
+  // any receive overwrites it. Sub-block `key` goes to the rank whose
+  // exchanged global bits equal key; the block arriving from that same
+  // rank is the one keyed by OUR old global bits and lands in place of
+  // sub-block `key` (the self block stays where it is).
+  const index_t sub = dim(top);
+  const index_t blocks = dim(k);
+  value_type* chunk = local_.data();
+  index_t sent = 0;
   for (index_t key = 0; key < blocks; ++key) {
     const int dst = partner(key);
     if (dst == rank) continue;
-    comm_->template send<value_type>(dst, {scratch_.data() + key * sub, sub});
-    bytes_comm_ += sub * sizeof(value_type);
+    comm_->template send<value_type>(dst, {chunk + key * sub, sub});
+    bytes_comm_ += sub * amp_bytes;
+    ++sent;
   }
   for (index_t key = 0; key < blocks; ++key) {
     const int src = partner(key);
     if (src == rank) continue;
-    comm_->template recv<value_type>(src, {scratch_.data() + key * sub, sub});
+    comm_->template recv<value_type>(src, {chunk + key * sub, sub});
   }
-  // Scatter: incoming slot `key` lands where the exchanged local bits
-  // equal key (the self slot is the identity and scatters back as-is).
-  for (index_t key = 0; key < blocks; ++key) {
-    const value_type* in = scratch_.data() + key * sub;
-    const index_t base = deposit(key);
-#pragma omp parallel for schedule(static) if (worth_parallelizing(sub))
-    for (index_t j = 0; j < sub; ++j) local_[expand(j) | base] = in[j];
-  }
-  if (obs::enabled()) {
-    span.arg("bytes", static_cast<double>(bytes_comm_ - bytes_before));
-    span.arg("pred_s", models::t_chunk_exchange_seconds(nl_, {}, sizeof(value_type)));
-  }
+  move(pack);
+  annotate(pack, models::t_chunk_exchange_seconds(nl_, {}, amp_bytes) *
+                      static_cast<double>(sent) / static_cast<double>(blocks));
 }
 
 template <typename T>

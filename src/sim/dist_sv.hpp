@@ -81,7 +81,11 @@ class BasicDistStateVector {
   /// bits, and each sub-block moves to the rank whose exchanged rank
   /// bits equal its key (sizeof(value_type) bytes/amplitude over the
   /// wire, the Eq. 6 exchange term paid once for the whole swap set).
-  /// This is the global<->local exchange pass the distributed scheduler
+  /// The packing is the in-place bit-permutation mover too: it lifts
+  /// the k exchanged bits to the top of the chunk, so every sub-block is
+  /// one contiguous range sent and received in place, and moves them
+  /// back after the exchange — no per-element gather or scatter. This
+  /// is the global<->local exchange pass the distributed scheduler
   /// amortizes across a sweep of global-qubit gates.
   void apply_qubit_swaps(std::span<const std::array<qubit_t, 2>> pairs);
 

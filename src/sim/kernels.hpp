@@ -40,7 +40,6 @@
 #include <cassert>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "common/bits.hpp"
 #include "common/parallel.hpp"
@@ -115,8 +114,21 @@ class BitExpander {
   std::size_t count_ = 0;
 };
 
-/// Sorted list of the set bits of `mask` plus optionally extra bits.
-std::vector<qubit_t> sorted_bit_positions(index_t mask, std::initializer_list<qubit_t> extra = {});
+/// Ascending bit positions in a fixed-capacity array (an index_t has at
+/// most 64 bits), so a kernel collects its control and target positions
+/// without a heap allocation. Views as std::span<const qubit_t>.
+struct BitPositions {
+  std::array<qubit_t, 64> pos{};
+  std::size_t count = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept { return count; }
+  [[nodiscard]] const qubit_t* begin() const noexcept { return pos.data(); }
+  [[nodiscard]] const qubit_t* end() const noexcept { return pos.data() + count; }
+  operator std::span<const qubit_t>() const noexcept { return {pos.data(), count}; }
+};
+
+/// Sorted set bits of `mask` plus optionally extra bits (not in `mask`).
+BitPositions sorted_bit_positions(index_t mask, std::initializer_list<qubit_t> extra = {});
 
 // ---------------------------------------------------------------------
 // Unspecialized tier.
@@ -185,17 +197,32 @@ void apply_multi_diagonal(std::span<basic_complex_t<T>> a, qubit_t n,
 // Qubit remapping (cache-blocked scheduler's local/global relocation).
 // ---------------------------------------------------------------------
 
-/// Applies a set of disjoint qubit transpositions in ONE full pass:
-/// amplitude i exchanges with the index obtained by swapping, for every
-/// pair {a, b}, bits a and b of i. Because the pairs are disjoint the
-/// index map is an involution, so the sweep is race-free in place (the
-/// iteration owning min(i, image) performs the swap) — this is how the
-/// sched layer relocates "high" qubits into the cache-local low block,
-/// the cache-level analogue of dist_sv's rank exchange. All pair
-/// members must be distinct qubits below n.
+/// Applies a set of disjoint qubit transpositions in place: amplitude i
+/// exchanges with the index obtained by swapping, for every pair {a, b},
+/// bits a and b of i. This is the one amplitude mover for a bit
+/// permutation — the sched layer's remaps (relocating "high" qubits into
+/// the cache-local low block) and dist's local pairs and sub-block
+/// packing all run through it. It streams contiguous memory:
+///
+///  * when every pair's bits are >= 9 (or a lone pair's are >= 2) it
+///    swaps whole runs of 2^R amplitudes (R = the lowest swapped bit, at
+///    most 12) with swap_ranges, touching only the runs that move;
+///  * otherwise it works on tiles of 2^R-amplitude runs x the 2^k
+///    high-side slots of the k pairs that reach below R: a tile and its
+///    partner are read into a per-thread buffer and written back
+///    permuted through one index table. R shrinks until a tile holds at
+///    most 2^12 amplitudes, so two tiles stay in L2.
+///
+/// Threads share only the moving tile pairs (dynamic split), so a pair
+/// with the top bit keeps every thread busy, and nothing state-sized is
+/// allocated. All pair members must be distinct qubits below n.
 template <typename T>
 void apply_qubit_swaps(std::span<basic_complex_t<T>> a, qubit_t n,
                        std::span<const std::array<qubit_t, 2>> pairs);
+
+/// log2 of the contiguous run the mover copies for this pair set (the R
+/// above); reported on remap spans as `run_bits`.
+qubit_t swap_run_bits(qubit_t n, std::span<const std::array<qubit_t, 2>> pairs);
 
 // ---------------------------------------------------------------------
 // Phase template (inlined per callsite; used by the emulator's phase

@@ -1,7 +1,7 @@
-# Runs BIN with `OPTION VALUE` (a malformed value) and checks that it
-# fails the way qc::run_main makes a binary fail: a normal nonzero exit
-# code — a signal exit, such as SIGABRT from std::terminate, fails the
-# check — with the option named on stderr.
+# Runs BIN with `OPTION VALUE` (a malformed or out-of-range value) and
+# checks that it fails the way qc::run_main makes a binary fail: a normal
+# nonzero exit code — a signal exit, such as SIGABRT from std::terminate,
+# fails the check — with the option named on stderr.
 #
 #   cmake -DBIN=<binary> -DOPTION=--qubits -DVALUE=abc -P cli_exit.cmake
 execute_process(COMMAND "${BIN}" "${OPTION}" "${VALUE}"
@@ -12,7 +12,7 @@ if(NOT rc MATCHES "^[0-9]+$")
   message(FATAL_ERROR "${BIN} ${OPTION} ${VALUE}: ended by '${rc}', not by an exit code")
 endif()
 if(rc EQUAL 0)
-  message(FATAL_ERROR "${BIN} ${OPTION} ${VALUE}: exited 0 on a malformed option")
+  message(FATAL_ERROR "${BIN} ${OPTION} ${VALUE}: exited 0 on a bad option value")
 endif()
 string(FIND "${err}" "${OPTION}" at)
 if(at EQUAL -1)

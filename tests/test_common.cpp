@@ -191,6 +191,23 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_DOUBLE_EQ(cli.get_double("neg", 0), -4.0);
 }
 
+TEST(Cli, QubitCountsMustLieInOneTo63) {
+  const char* argv[] = {"prog", "--neg", "-3", "--zero", "0", "--wide", "64", "--ok", "63"};
+  const Cli cli(9, argv);
+  for (const char* name : {"neg", "zero", "wide"}) {
+    try {
+      (void)cli.get_qubits(name, 1);
+      ADD_FAILURE() << name << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(cli.get_qubits("ok", 1), 63u);
+  EXPECT_EQ(cli.get_qubits("missing", 12), 12u);
+  EXPECT_THROW((void)cli.get_qubits("missing", 0), std::invalid_argument);
+}
+
 TEST(Table, FormatsAlignedColumns) {
   Table t({"m", "time"});
   t.add_row({"2", "1.5e-3"});

@@ -7,12 +7,14 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "circuit/builders.hpp"
 #include "cluster/fault.hpp"
 #include "sim/dist_sv.hpp"
 #include "sim/simulator.hpp"
+#include "swap_sets.hpp"
 
 namespace qc::sim {
 namespace {
@@ -268,6 +270,43 @@ TEST(DistQubitSwaps, ExchangeMovesAtMostOneChunkPerPass) {
     EXPECT_EQ(dsv.bytes_communicated(), chunk_bytes * 3 / 4);
     EXPECT_LT(dsv.bytes_communicated(), chunk_bytes);
   });
+}
+
+TEST(DistQubitSwaps, RandomCrossingRoundsMatchHpcBitForBit) {
+  // Random swap sets split at the local/global boundary: LowHigh sets
+  // are all crossing pairs (the pack/unpack path), the others mix
+  // crossing, local-local and global-global pairs. The reference runs
+  // the same transpositions as SWAP gates on the serial HpcSimulator,
+  // from the gathered start state, so the two must agree bit for bit.
+  std::mt19937_64 rng(2016);
+  for (const int ranks : {2, 4}) {
+    const auto global = static_cast<qubit_t>(ranks == 2 ? 1 : 2);
+    cluster::Cluster cluster(ranks, 2);
+    for (qubit_t n = global + 2; n <= 13; n += 3) {
+      const qubit_t nl = n - global;
+      for (const testing::SwapShape shape : testing::kSwapShapes) {
+        for (const std::size_t k : testing::swap_pair_counts(n, shape, nl, true)) {
+          const auto pairs = testing::random_swap_set(n, k, shape, nl, rng);
+          SCOPED_TRACE("ranks=" + std::to_string(ranks) + " n=" + std::to_string(n) +
+                       " shape=" + std::to_string(static_cast<int>(shape)) +
+                       " pairs=" + std::to_string(k));
+          Circuit c(n);
+          for (const auto& p : pairs) c.swap(p[0], p[1]);
+          const std::uint64_t seed = rng();
+          cluster.run([&](cluster::Comm& comm) {
+            DistStateVector dsv(comm, n);
+            dsv.randomize(seed);
+            StateVector ref = dsv.gather_all();
+            dsv.apply_qubit_swaps(pairs);
+            const StateVector gathered = dsv.gather_all();
+            if (comm.rank() != 0) return;
+            HpcSimulator().run(ref, c);
+            EXPECT_EQ(gathered.max_abs_diff(ref), 0.0);
+          });
+        }
+      }
+    }
+  }
 }
 
 TEST(DistQubitSwaps, RejectsOverlappingPairs) {

@@ -5,6 +5,7 @@
 // "cached" backend and HpcSimulator across qubit counts, chunk widths,
 // and remap-triggering workloads.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <numbers>
@@ -16,7 +17,9 @@
 #include "models/perf_model.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sim/kernels.hpp"
+#include "sched/verify_plan.hpp"
 #include "sim/simulator.hpp"
+#include "swap_sets.hpp"
 
 namespace qc::sched {
 namespace {
@@ -131,6 +134,30 @@ TEST(Schedule, HighQubitRunTriggersRemapAndRestores) {
   EXPECT_LT(plan.passes(), plan.source_ops + 2);
 }
 
+TEST(Schedule, RestoreTakesAtMostTwoRemaps) {
+  // Random 20-qubit plans with a small chunk remap often; whatever
+  // permutation they end in, the restore is at most two rounds.
+  std::size_t long_cycles = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const Circuit c = circuit::random_dense_circuit(20, 120, rng);
+    CachedSimulator::Options opts;
+    opts.sched.chunk_width = 12;
+    const BlockedPlan plan = CachedSimulator(opts).plan(c);
+    EXPECT_NO_THROW(verify_plan(plan)) << plan.to_string();
+    std::size_t trailing = 0;
+    for (auto it = plan.items.rbegin();
+         it != plan.items.rend() && it->kind == PlanItem::Kind::Remap; ++it)
+      ++trailing;
+    EXPECT_GE(trailing, 1u) << plan.to_string();
+    EXPECT_LE(trailing, 2u) << plan.to_string();
+    EXPECT_LT(backend_divergence(c, opts, seed), 1e-12);
+    long_cycles += trailing == 2;
+  }
+  // At least one plan ended in a cycle longer than a transposition.
+  EXPECT_GT(long_cycles, 0u);
+}
+
 TEST(Schedule, LoneHighOpStaysGlobalInsteadOfRemapping) {
   // One high-qubit gate amid a long already-low run: a remap would add
   // passes (remap + restore) without making anything new chunk-local,
@@ -209,6 +236,52 @@ TEST(QubitSwapKernel, InvolutionRoundTrips) {
   EXPECT_GT(a.max_abs_diff(orig), 1e-6);  // actually moved something
   sim::kernels::apply_qubit_swaps(a.amplitudes(), n, pairs);
   EXPECT_LT(a.max_abs_diff(orig), 1e-15);
+}
+
+/// Applies `pairs` with the mover and with a naive per-index swap and
+/// compares bit for bit. Amplitude i starts as (i, -i), exact in float at
+/// these sizes, so any misplaced amplitude shows.
+template <typename T>
+void check_mover(qubit_t n, const std::vector<std::array<qubit_t, 2>>& pairs) {
+  using C = basic_complex_t<T>;
+  std::vector<C> a(dim(n)), ref(dim(n));
+  for (index_t i = 0; i < dim(n); ++i) a[i] = C(static_cast<T>(i), -static_cast<T>(i));
+  for (index_t i = 0; i < dim(n); ++i) ref[testing::swap_image(i, pairs)] = a[i];
+  sim::kernels::apply_qubit_swaps<T>(a, n, pairs);
+  EXPECT_TRUE(a == ref) << "n=" << n << " run_bits=" << sim::kernels::swap_run_bits(n, pairs);
+}
+
+TEST(QubitSwapKernel, RandomPairSetsMatchNaiveSwapBitForBit) {
+  // Split at the mover's shortest bare run (2^9): AllHigh sets take the
+  // run path, AllLow and LowHigh sets the tile path, and LowHigh sets of
+  // more than 5 pairs (n >= 15) overflow the 2^12-amplitude tile cap at
+  // R = 9, so R shrinks.
+  constexpr qubit_t kSplit = 9;
+  std::mt19937_64 rng(1606);
+  std::size_t capped = 0;
+  const int threads = omp_get_max_threads();
+  for (const int t : {1, 4}) {
+    omp_set_num_threads(t);
+    for (qubit_t n = 1; n <= 18; ++n) {
+      check_mover<float>(n, {});
+      for (const testing::SwapShape shape : testing::kSwapShapes) {
+        const bool every = shape == testing::SwapShape::Any;
+        for (const std::size_t k : testing::swap_pair_counts(n, shape, kSplit, every)) {
+          const auto pairs = testing::random_swap_set(n, k, shape, kSplit, rng);
+          SCOPED_TRACE("threads=" + std::to_string(t) + " shape=" +
+                       std::to_string(static_cast<int>(shape)) + " pairs=" + std::to_string(k));
+          check_mover<float>(n, pairs);
+          check_mover<double>(n, pairs);
+          if (shape == testing::SwapShape::LowHigh && k > 5) {
+            ++capped;
+            EXPECT_LT(sim::kernels::swap_run_bits(n, pairs), kSplit);
+          }
+        }
+      }
+    }
+  }
+  omp_set_num_threads(threads);
+  EXPECT_GT(capped, 0u);
 }
 
 // --- one kernel body, instantiated serial and parallel ------------------

@@ -133,7 +133,7 @@ std::vector<std::string> core_schedules(double /*timeout_s*/) {
 
 static int cli_main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  const auto n = static_cast<qubit_t>(cli.get_int("qubits", 16));
+  const auto n = cli.get_qubits("qubits", 16);
   const int ranks = static_cast<int>(cli.get_int("ranks", 4));
   const auto want = static_cast<std::size_t>(cli.get_int("schedules", 16));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
