@@ -20,7 +20,7 @@
 #include "circuit/builders.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "fuse/fused_simulator.hpp"
+#include "fuse/fusion.hpp"
 #include "sched/cached_simulator.hpp"
 #include "sim/simulator.hpp"
 
@@ -58,20 +58,20 @@ static int cli_main(int argc, char** argv) {
   Table table({"k", "blocks", "gates-fused", "passes", "T [s]", "T/gate [s]", "vs hpc",
                "T cached [s]", "cached vs hpc"});
   for (qubit_t k = 1; k <= max_k; ++k) {
-    fuse::FusedSimulator::Options opts;
-    opts.fusion.max_width = k;
-    opts.fusion.cost_gate = !raw;
-    const fuse::FusedSimulator fused(opts);
-    const fuse::FusedCircuit plan = fused.plan(c);
+    fuse::FusionOptions fusion;
+    fusion.max_width = k;
+    fusion.cost_gate = !raw;
+    const fuse::FusedCircuit plan = fuse::fuse_circuit(c, fusion);
     const std::size_t passes = plan.items.size();
-    const double t = bench::timed([&] { fused.execute(sv, plan); }, /*warmup=*/true);
+    const sched::BlockedPlan gplan = sched::global_plan(plan);
+    const double t = bench::timed(
+        [&] { sched::execute_blocked<double>(sv.amplitudes(), gplan); }, /*warmup=*/true);
     // Same fusion width through the cache-blocked executor (auto chunk).
-    sched::CachedSimulator::Options copts;
-    copts.fusion = opts.fusion;
-    copts.sched.max_block_width = k;  // honest axis: no in-cache re-narrowing
-    const sched::CachedSimulator cached(copts);
-    const sched::BlockedPlan bplan = cached.plan(c);
-    const double tc = bench::timed([&] { cached.execute(sv, bplan); }, /*warmup=*/true);
+    sched::ScheduleOptions sopts;
+    sopts.max_block_width = k;  // honest axis: no in-cache re-narrowing
+    const sched::BlockedPlan bplan = sched::cached_plan(c, fusion, sopts);
+    const double tc = bench::timed(
+        [&] { sched::execute_blocked<double>(sv.amplitudes(), bplan); }, /*warmup=*/true);
     table.add_row({std::to_string(k), std::to_string(plan.blocks()),
                    std::to_string(plan.fused_gates()), std::to_string(passes), sci(t),
                    sci(t / static_cast<double>(gates)), fixed(t_hpc / t, 2) + "x", sci(tc),

@@ -5,12 +5,11 @@
 // kernels::force_isa) against both amplitude precisions (fp64 / fp32)
 // over the three dispatched kernel families — dense 2x2 (apply_folded),
 // dense 4x4 (apply_multi) and the run-scaled diagonal — plus one fused
-// QFT sweep end to end (sched::execute_blocked over the fused backend's
+// QFT sweep end to end (sched::execute_blocked over the fused preset's
 // prebuilt plan of Global items). Each cell
 // reports best-of-reps seconds and the effective memory bandwidth.
 //
-// Headline scalars (top-level JSON numerics, picked up by
-// tools/append_trajectory.py into BENCH_TRAJECTORY.md). Both are taken
+// Headline scalars (top-level JSON numerics). Both are taken
 // from the dense 2x2 sweep — the paper's core kernel and the cell the
 // acceptance gate reads; the fused QFT row is diagonal-dominated (231
 // controlled phases vs 22 H at n=22) so it understates dense-kernel

@@ -21,6 +21,7 @@
 #include "common/timer.hpp"
 #include "engine/engine.hpp"
 #include "revcirc/modular.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 

@@ -14,7 +14,6 @@
 #include "cluster/fault.hpp"
 #include "emu/dist_emu.hpp"
 #include "emu/observables.hpp"
-#include "fuse/fused_simulator.hpp"
 #include "models/perf_model.hpp"
 #include "obs/trace.hpp"
 #include "sched/cached_simulator.hpp"
@@ -51,23 +50,12 @@ BackendCounters Backend::counters() const { return {}; }
 
 namespace {
 
-/// Wraps a plain sim::Simulator: gate segments only.
-class GateLevelBackend final : public Backend {
- public:
-  explicit GateLevelBackend(std::unique_ptr<sim::Simulator> s) : sim_(std::move(s)) {}
+/// The single-node execution presets. The first three are per-gate
+/// loops over one gate-to-kernel map; the last two run a blocked plan.
+enum class Preset { Hpc, QhipsterLike, LiquidLike, Fused, Cached };
 
-  [[nodiscard]] std::string name() const override { return sim_->name(); }
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    sim_->run(sv, c);
-  }
-
- private:
-  std::unique_ptr<sim::Simulator> sim_;
-};
-
-/// The single-node backends' one precision-conversion site: narrows the
-/// fp64 host state into an fp32 working copy, runs `run` on its
-/// amplitudes through the float-instantiated kernels, and widens the
+/// Narrows the fp64 host state into an fp32 working copy, runs `run` on
+/// its amplitudes through the float-instantiated kernels, and widens the
 /// result back — two extra state passes per gate segment, amortized over
 /// its gates, while every kernel sweep inside moves half the bytes.
 template <typename F>
@@ -81,56 +69,42 @@ void run_narrowed(sim::StateVector& sv, F&& run) {
   for (index_t i = 0; i < count; ++i) d[i] = static_cast<complex_t>(s[i]);
 }
 
-/// Gate-level backend running segments at fp32 through run_narrowed.
-/// Measurement ops keep reading the fp64 host state through the default
-/// virtuals.
-class Fp32SegmentBackend final : public Backend {
+/// Every single-node backend: one preset run generic over the amplitude
+/// scalar, behind the one fp32 branch. With `emulate` set ("auto"), it
+/// also executes high-level ops through emu::Emulator — the paper's
+/// dispatch rule: high-level ops at their mathematical description,
+/// gate segments through the cached preset. Measurement ops read the
+/// fp64 host state through the default virtuals at either precision.
+class PresetBackend final : public Backend {
  public:
-  using Runner =
-      std::function<void(std::span<basic_complex_t<float>>, qubit_t, const circuit::Circuit&)>;
-
-  Fp32SegmentBackend(std::string name, Runner runner)
-      : name_(std::move(name)), runner_(std::move(runner)) {}
+  PresetBackend(std::string name, Preset preset, const RunOptions& opts, bool emulate = false)
+      : name_(std::move(name)),
+        preset_(preset),
+        fusion_(opts.fusion),
+        sched_(opts.sched),
+        precision_(opts.precision),
+        emulate_(emulate) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] bool emulates() const override { return emulate_; }
 
   void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
-    if (c.empty()) return;
-    run_narrowed(sv, [&](std::span<basic_complex_t<float>> a) { runner_(a, sv.qubits(), c); });
-  }
-
- private:
-  std::string name_;
-  Runner runner_;
-};
-
-/// The paper's dispatch rule as a backend: high-level ops through the
-/// emu::Emulator shortcuts, gate segments through the cache-blocked
-/// (fused + sweep-scheduled) simulator.
-class AutoBackend final : public Backend {
- public:
-  explicit AutoBackend(const RunOptions& opts)
-      : cached_(sched::CachedSimulator::Options{opts.fusion, opts.sched}),
-        precision_(opts.precision) {}
-
-  [[nodiscard]] std::string name() const override { return "auto"; }
-  [[nodiscard]] bool emulates() const override { return true; }
-
-  void run_gates(sim::StateVector& sv, const circuit::Circuit& c) override {
+    if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
     if (precision_ == Precision::kF32) {
-      // Convert-at-segment-boundary: the emulator's high-level shortcuts
-      // (FFTs, permutations) stay fp64 on the host state; only the gate
-      // segments between them run through the float kernels.
+      // Convert at the segment boundary: the emulator's high-level
+      // shortcuts (FFTs, permutations) stay fp64 on the host state.
       if (c.empty()) return;
-      run_narrowed(sv, [&](std::span<basic_complex_t<float>> a) {
-        sched::execute_blocked<float>(a, cached_.plan(c));
-      });
+      run_narrowed(sv, [&](std::span<basic_complex_t<float>> a) { run_preset<float>(a, c); });
       return;
     }
-    cached_.run(sv, c);
+    run_preset<double>(sv.amplitudes(), c);
   }
 
   void run_highlevel(sim::StateVector& sv, const Op& op) override {
+    if (!emulate_) {
+      Backend::run_highlevel(sv, op);
+      return;
+    }
     emu::Emulator& em = emulator_for(sv);
     switch (op.kind) {
       case OpKind::Add: em.add(op.a, op.b); return;
@@ -143,11 +117,33 @@ class AutoBackend final : public Backend {
       case OpKind::Qft: em.qft(op.a); return;
       case OpKind::InverseQft: em.inverse_qft(op.a); return;
       default:
-        throw std::logic_error("auto backend: unexpected op '" + op.label() + "'");
+        throw std::logic_error(name_ + " backend: unexpected op '" + op.label() + "'");
     }
   }
 
  private:
+  template <typename T>
+  void run_preset(std::span<basic_complex_t<T>> a, const circuit::Circuit& c) const {
+    const qubit_t n = c.qubits();
+    switch (preset_) {
+      case Preset::Hpc:
+        for (const circuit::Gate& g : c.gates()) sim::apply_gate_hpc<T>(a, n, g);
+        return;
+      case Preset::QhipsterLike:
+        for (const circuit::Gate& g : c.gates()) sim::apply_gate_generic<T>(a, n, g);
+        return;
+      case Preset::LiquidLike:
+        for (const circuit::Gate& g : c.gates()) sim::apply_gate_generic<T, false>(a, n, g);
+        return;
+      case Preset::Fused:
+        sched::execute_blocked<T>(a, sched::global_plan(fuse::fuse_circuit(c, fusion_)));
+        return;
+      case Preset::Cached:
+        sched::execute_blocked<T>(a, sched::cached_plan(c, fusion_, sched_));
+        return;
+    }
+  }
+
   /// The Emulator binds to one StateVector and caches scratch + FFT
   /// plans; rebuild only when the engine hands us a different state.
   emu::Emulator& emulator_for(sim::StateVector& sv) {
@@ -158,8 +154,12 @@ class AutoBackend final : public Backend {
     return *emulator_;
   }
 
-  sched::CachedSimulator cached_;
+  std::string name_;
+  Preset preset_;
+  fuse::FusionOptions fusion_;
+  sched::ScheduleOptions sched_;
   Precision precision_;
+  bool emulate_;
   std::unique_ptr<emu::Emulator> emulator_;
   sim::StateVector* bound_ = nullptr;
 };
@@ -675,107 +675,35 @@ class DistBackendT final : public Backend {
   bool ckpt_valid_ = false;
 };
 
-struct BackendEntry {
-  BackendFactory make;
-  SimulatorFactory make_sim;  // null for emulation-only backends
-};
-
-/// Per-gate fp32 runner over a float-instantiated gate dispatch (the
-/// scalar/AVX2/AVX-512 choice still goes through the runtime dispatch
-/// tables inside).
-template <void (*Apply)(std::span<basic_complex_t<float>>, qubit_t, const circuit::Gate&)>
-void fp32_per_gate(std::span<basic_complex_t<float>> a, qubit_t n, const circuit::Circuit& c) {
-  for (const circuit::Gate& g : c.gates()) Apply(a, n, g);
-}
-
-std::map<std::string, BackendEntry>& registry() {
-  static std::map<std::string, BackendEntry> reg = [] {
-    std::map<std::string, BackendEntry> r;
-    // Gate-level entries dispatch on RunOptions::precision: fp64 wraps
-    // the plain sim::Simulator; fp32 wraps the same algorithm's float
-    // instantiation behind the convert-at-segment-boundary adapter.
-    const auto gate_level = [](const char* name, SimulatorFactory sf,
-                               Fp32SegmentBackend::Runner f32) {
-      return BackendEntry{
-          [name, sf, f32](const RunOptions& opts) -> std::unique_ptr<Backend> {
-            if (opts.precision == Precision::kF32)
-              return std::make_unique<Fp32SegmentBackend>(name, f32);
-            return std::make_unique<GateLevelBackend>(sf());
-          },
-          sf};
+std::map<std::string, BackendFactory>& registry() {
+  static std::map<std::string, BackendFactory> reg = [] {
+    std::map<std::string, BackendFactory> r;
+    const auto preset = [](const char* name, Preset p, bool emulate = false) {
+      return [name, p, emulate](const RunOptions& opts) -> std::unique_ptr<Backend> {
+        return std::make_unique<PresetBackend>(name, p, opts, emulate);
+      };
     };
-    r["hpc"] = gate_level(
-        "hpc", [] { return std::make_unique<sim::HpcSimulator>(); },
-        fp32_per_gate<sim::apply_gate_hpc<float>>);
-    r["qhipster-like"] = gate_level(
-        "qhipster-like", [] { return std::make_unique<sim::QhipsterLikeSimulator>(); },
-        fp32_per_gate<sim::apply_gate_generic<float>>);
-    r["liquid-like"] = gate_level(
-        "liquid-like", [] { return std::make_unique<sim::LiquidLikeSimulator>(); },
-        fp32_per_gate<sim::apply_gate_generic<float, false>>);
-    r["fused"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32)
-            return std::make_unique<Fp32SegmentBackend>(
-                "fused", [fusion = opts.fusion](std::span<basic_complex_t<float>> a, qubit_t,
-                                                const circuit::Circuit& c) {
-                  sched::execute_blocked<float>(a,
-                                                sched::global_plan(fuse::fuse_circuit(c, fusion)));
-                });
-          return std::make_unique<GateLevelBackend>(std::make_unique<fuse::FusedSimulator>(
-              fuse::FusedSimulator::Options{opts.fusion}));
-        },
-        [] { return std::make_unique<fuse::FusedSimulator>(); }};
-    r["cached"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32) {
-            auto cached = std::make_shared<sched::CachedSimulator>(
-                sched::CachedSimulator::Options{opts.fusion, opts.sched});
-            return std::make_unique<Fp32SegmentBackend>(
-                "cached", [cached](std::span<basic_complex_t<float>> a, qubit_t,
-                                   const circuit::Circuit& c) {
-                  sched::execute_blocked<float>(a, cached->plan(c));
-                });
-          }
-          return std::make_unique<GateLevelBackend>(std::make_unique<sched::CachedSimulator>(
-              sched::CachedSimulator::Options{opts.fusion, opts.sched}));
-        },
-        [] { return std::make_unique<sched::CachedSimulator>(); }};
-    r["auto"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          return std::make_unique<AutoBackend>(opts);
-        },
-        nullptr};
-    r["dist"] = BackendEntry{
-        [](const RunOptions& opts) -> std::unique_ptr<Backend> {
-          if (opts.precision == Precision::kF32)
-            return std::make_unique<DistBackendT<float>>(opts);
-          return std::make_unique<DistBackendT<double>>(opts);
-        },
-        nullptr};
+    r["hpc"] = preset("hpc", Preset::Hpc);
+    r["qhipster-like"] = preset("qhipster-like", Preset::QhipsterLike);
+    r["liquid-like"] = preset("liquid-like", Preset::LiquidLike);
+    r["fused"] = preset("fused", Preset::Fused);
+    r["cached"] = preset("cached", Preset::Cached);
+    r["auto"] = preset("auto", Preset::Cached, /*emulate=*/true);
+    r["dist"] = [](const RunOptions& opts) -> std::unique_ptr<Backend> {
+      if (opts.precision == Precision::kF32) return std::make_unique<DistBackendT<float>>(opts);
+      return std::make_unique<DistBackendT<double>>(opts);
+    };
     return r;
   }();
   return reg;
 }
 
-[[noreturn]] void throw_unknown(const std::string& what, const std::string& name) {
-  std::string names;
-  for (const std::string& n : backend_names()) {
-    if (!names.empty()) names += ", ";
-    names += n;
-  }
-  throw std::invalid_argument(what + ": unknown backend '" + name + "' (valid: " + names +
-                              ")");
-}
-
 }  // namespace
 
-void register_backend(const std::string& name, BackendFactory factory,
-                      SimulatorFactory sim_factory) {
+void register_backend(const std::string& name, BackendFactory factory) {
   if (name.empty() || !factory)
     throw std::invalid_argument("register_backend: empty name or null factory");
-  auto [it, inserted] =
-      registry().emplace(name, BackendEntry{std::move(factory), std::move(sim_factory)});
+  auto [it, inserted] = registry().emplace(name, std::move(factory));
   if (!inserted)
     throw std::invalid_argument("register_backend: '" + name + "' already registered");
 }
@@ -783,25 +711,22 @@ void register_backend(const std::string& name, BackendFactory factory,
 std::vector<std::string> backend_names() {
   std::vector<std::string> names;
   names.reserve(registry().size());
-  for (const auto& [name, entry] : registry()) names.push_back(name);
+  for (const auto& [name, factory] : registry()) names.push_back(name);
   return names;  // std::map iterates sorted
 }
 
 std::unique_ptr<Backend> make_backend(const std::string& name, const RunOptions& opts) {
   const auto it = registry().find(name);
-  if (it == registry().end()) throw_unknown("make_backend", name);
-  return it->second.make(opts);
-}
-
-std::unique_ptr<sim::Simulator> make_gate_simulator(const std::string& name) {
-  const auto it = registry().find(name);
-  if (it == registry().end()) throw_unknown("make_simulator", name);
-  if (!it->second.make_sim)
-    throw std::invalid_argument("make_simulator: backend '" + name +
-                                "' is not a plain sim::Simulator (it emulates "
-                                "high-level ops or runs distributed); run it via "
-                                "engine::Engine");
-  return it->second.make_sim();
+  if (it == registry().end()) {
+    std::string names;
+    for (const std::string& n : backend_names()) {
+      if (!names.empty()) names += ", ";
+      names += n;
+    }
+    throw std::invalid_argument("make_backend: unknown backend '" + name + "' (valid: " + names +
+                                ")");
+  }
+  return it->second(opts);
 }
 
 }  // namespace qc::engine

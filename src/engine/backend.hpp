@@ -11,12 +11,16 @@
 //    segments — Engine::run lowers high-level ops first;
 //  * emulating backends ("auto") report emulates() == true and execute
 //    high-level ops at their mathematical description (emu::Emulator),
-//    dispatching gate segments to the fused simulator — the paper's §3
+//    dispatching gate segments to the cached preset — the paper's §3
 //    contract expressed as one dispatch rule.
 //
-// register_backend() absorbs what used to be ad-hoc branches inside
-// sim::make_simulator; that factory is now a thin shim over
-// make_gate_simulator() kept for source compatibility.
+// Every single-node name ("hpc", "qhipster-like", "liquid-like",
+// "fused", "cached", and "auto" on top of "cached") is a preset of one
+// backend class: a per-gate loop over one of the three gate-to-kernel
+// maps (sim/simulator.hpp) or a blocked plan run by
+// sched::execute_blocked, generic over the amplitude scalar, with the
+// one fp32 branch in front. "dist" is its own backend (a resident
+// cluster session).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +33,6 @@
 #include "fuse/fusion.hpp"
 #include "sched/schedule.hpp"
 #include "sim/dist_sv.hpp"
-#include "sim/simulator.hpp"
 
 namespace qc::engine {
 
@@ -169,14 +172,10 @@ class Backend {
 };
 
 using BackendFactory = std::function<std::unique_ptr<Backend>(const RunOptions&)>;
-using SimulatorFactory = std::function<std::unique_ptr<sim::Simulator>()>;
 
-/// Registers a backend under `name`. A non-null `sim_factory` marks the
-/// backend as wrapping a plain gate-level sim::Simulator, reachable
-/// through sim::make_simulator(name). Throws std::invalid_argument on a
-/// duplicate name.
-void register_backend(const std::string& name, BackendFactory factory,
-                      SimulatorFactory sim_factory = nullptr);
+/// Registers a backend under `name`. Throws std::invalid_argument on an
+/// empty name, a null factory or a duplicate name.
+void register_backend(const std::string& name, BackendFactory factory);
 
 /// Sorted names of every registered backend (builtins plus user
 /// registrations).
@@ -186,11 +185,5 @@ void register_backend(const std::string& name, BackendFactory factory,
 /// std::invalid_argument listing backend_names().
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const std::string& name,
                                                     const RunOptions& opts = {});
-
-/// The gate-level sim::Simulator a registered backend wraps — the
-/// delegate behind sim::make_simulator. Throws std::invalid_argument for
-/// unknown names (listing the registry) and for emulation-only backends
-/// like "auto".
-[[nodiscard]] std::unique_ptr<sim::Simulator> make_gate_simulator(const std::string& name);
 
 }  // namespace qc::engine

@@ -89,19 +89,6 @@ void run_sweep(std::span<basic_complex_t<T>> a, qubit_t n, qubit_t chunk_width,
 
 }  // namespace
 
-void CachedSimulator::apply_gate(sim::StateVector& sv, const circuit::Gate& g) const {
-  sim::apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
-}
-
-BlockedPlan CachedSimulator::plan(const circuit::Circuit& c) const {
-  // Narrow the fusion width to the scheduler's in-cache optimum: the
-  // full-pass saving that justifies wide blocks does not apply inside a
-  // chunk-resident sweep (see ScheduleOptions::max_block_width).
-  fuse::FusionOptions fusion = opts_.fusion;
-  fusion.max_width = std::min(fusion.max_width, opts_.sched.max_block_width);
-  return schedule(fuse::fuse_circuit(c, fusion), opts_.sched);
-}
-
 template <typename T>
 void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
   if (a.size() != dim(plan.n))
@@ -158,15 +145,5 @@ void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan) {
 
 template void execute_blocked<float>(std::span<basic_complex_t<float>>, const BlockedPlan&);
 template void execute_blocked<double>(std::span<basic_complex_t<double>>, const BlockedPlan&);
-
-void CachedSimulator::execute(sim::StateVector& sv, const BlockedPlan& plan) const {
-  if (plan.n != sv.qubits()) throw std::invalid_argument("execute: qubit count mismatch");
-  execute_blocked<double>(sv.amplitudes(), plan);
-}
-
-void CachedSimulator::run(sim::StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  execute(sv, plan(c));
-}
 
 }  // namespace qc::sched

@@ -1,9 +1,9 @@
-// CachedSimulator — the cache-blocked execution backend ("cached").
+// execute_blocked — the one executor of a blocked plan.
 //
-// run() lowers the circuit through fuse::fuse_circuit (same pass as the
-// "fused" backend), then through sched::schedule, and executes the
-// blocked plan with execute_blocked, the one plan executor (the fused
-// backend runs it too, on a plan of Global items only):
+// The engine's "cached" preset runs it on sched::cached_plan (fusion at
+// the in-cache width, then sched::schedule), the "fused" preset on
+// sched::global_plan (Global items only), and every rank of the "dist"
+// backend on its chunk's plan. Item kinds:
 //
 //  * Sweep items walk the state vector chunk by chunk (2^L amplitudes,
 //    L = plan.chunk_width) and apply every op of the sweep to a chunk
@@ -23,48 +23,22 @@
 //    as one parallel full-vector pass of the same kernels.
 //
 // Sweep ops and Global items share one op dispatch; gate ops go through
-// sim::apply_gate_hpc, so per-gate apply_gate() is HpcSimulator's.
-// plan() + execute() let iterative callers pay fusion + scheduling once.
+// sim::apply_gate_hpc. Iterative callers build the plan once and pass
+// it to execute_blocked on every repetition.
 #pragma once
 
-#include "fuse/fusion.hpp"
 #include "sched/schedule.hpp"
 #include "sim/simulator.hpp"
 
 namespace qc::sched {
 
 /// Executes a blocked plan on a raw amplitude array of 2^plan.n
-/// amplitudes. This is the executor CachedSimulator::execute wraps and
-/// the rank-local entry point of the distributed executor (each rank
-/// runs its chunk's plan on dist_sv's local window). The plan itself
+/// amplitudes. This is the single-node presets' executor and the
+/// rank-local entry point of the distributed executor (each rank runs
+/// its chunk's plan on dist_sv's local window). The plan itself
 /// stays double precision; executing at T = float narrows each op's
 /// payload once, outside the chunk loop. Instantiated for float/double.
 template <typename T>
 void execute_blocked(std::span<basic_complex_t<T>> a, const BlockedPlan& plan);
-
-class CachedSimulator final : public sim::Simulator {
- public:
-  struct Options {
-    fuse::FusionOptions fusion;
-    ScheduleOptions sched;
-  };
-
-  CachedSimulator() = default;
-  explicit CachedSimulator(Options opts) : opts_(opts) {}
-
-  [[nodiscard]] std::string name() const override { return "cached"; }
-
-  void apply_gate(sim::StateVector& sv, const circuit::Gate& g) const override;
-  void run(sim::StateVector& sv, const circuit::Circuit& c) const override;
-
-  /// The fusion + blocking pipeline this backend would run on `c`.
-  [[nodiscard]] BlockedPlan plan(const circuit::Circuit& c) const;
-
-  /// Executes a prebuilt plan (must match sv's qubit count).
-  void execute(sim::StateVector& sv, const BlockedPlan& plan) const;
-
- private:
-  Options opts_;
-};
 
 }  // namespace qc::sched

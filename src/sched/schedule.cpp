@@ -393,4 +393,14 @@ BlockedPlan global_plan(const FusedCircuit& fc) {
   return plan;
 }
 
+BlockedPlan cached_plan(const circuit::Circuit& c, const fuse::FusionOptions& fusion,
+                        const ScheduleOptions& sopts) {
+  // Narrow the fusion width to the scheduler's in-cache optimum: the
+  // full-pass saving that justifies wide blocks does not apply inside a
+  // chunk-resident sweep (see ScheduleOptions::max_block_width).
+  fuse::FusionOptions narrowed = fusion;
+  narrowed.max_width = std::min(narrowed.max_width, sopts.max_block_width);
+  return schedule(fuse::fuse_circuit(c, narrowed), sopts);
+}
+
 }  // namespace qc::sched

@@ -2,7 +2,7 @@
 // applied one level below the cluster.
 //
 // The §3.2 bandwidth model says gate-level simulation is memory bound:
-// FusedSimulator still pays one full 2^n DRAM pass per fused block, so
+// the "fused" preset still pays one full 2^n DRAM pass per fused block, so
 // at 20+ qubits every block streams the whole state through the memory
 // bus. qHiPSTER (and our dist_sv) fixes the *network* analogue of this
 // by splitting qubits into local/global and remapping so most gates
@@ -13,7 +13,7 @@
 //
 // schedule() partitions a FusedCircuit into *sweeps* — maximal in-order
 // runs of ops whose (remapped) support lies entirely below L. The
-// executor (CachedSimulator) then walks the state vector chunk by
+// executor (execute_blocked) then walks the state vector chunk by
 // chunk, applying EVERY op of the sweep to a chunk while it is cache
 // resident: one DRAM pass per sweep instead of one per op, with
 // parallelism moved from "inside one op" to "across chunks" (one omp
@@ -106,8 +106,8 @@ struct ScheduleOptions {
   /// justified by saving full memory passes; inside a cache-resident
   /// sweep every op already shares one pass, so blocks past ~3 qubits
   /// only add 2^k mat-vec work per amplitude (measured by
-  /// bench_ablation_blocking --fusion-sweep). CachedSimulator::plan
-  /// re-fuses at min(fusion max_width, this cap).
+  /// bench_ablation_blocking --fusion-sweep). cached_plan re-fuses at
+  /// min(fusion max_width, this cap).
   qubit_t max_block_width = 3;
   /// Allow qubit-remap items (off: high-qubit ops stay global passes).
   bool remap = true;
@@ -132,8 +132,14 @@ struct ScheduleOptions {
 [[nodiscard]] BlockedPlan schedule(const fuse::FusedCircuit& fc,
                                    const ScheduleOptions& opts = {});
 
-/// The fused backend's plan: one Global item per fused op, in order, no
+/// The fused preset's plan: one Global item per fused op, in order, no
 /// sweeps and no remaps — each op runs as one parallel full pass.
 [[nodiscard]] BlockedPlan global_plan(const fuse::FusedCircuit& fc);
+
+/// The cached preset's plan of a circuit: fusion with its width narrowed
+/// to sopts.max_block_width, then schedule().
+[[nodiscard]] BlockedPlan cached_plan(const circuit::Circuit& c,
+                                      const fuse::FusionOptions& fusion,
+                                      const ScheduleOptions& sopts);
 
 }  // namespace qc::sched

@@ -1,6 +1,7 @@
 #include "sim/dist_sv.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -27,7 +28,6 @@ BasicDistStateVector<T>::BasicDistStateVector(cluster::Comm& comm, qubit_t n_qub
   nl_ = n_ - k;
   cluster::fault_point("dist.alloc", comm.rank());
   local_.assign(dim(nl_), value_type{});
-  scratch_.assign(dim(nl_), value_type{});
   if (comm.rank() == 0) local_[0] = value_type{T{1}};
 }
 
@@ -99,7 +99,7 @@ double BasicDistStateVector<T>::outcome_probability(qubit_t q, bool one) const {
 
 template <typename T>
 void BasicDistStateVector<T>::exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u,
-                                                   index_t local_cmask, index_t) {
+                                                   index_t local_cmask) {
   // The per-gate pairwise chunk exchange of Eq. 6 — the span carries the
   // bytes it moved plus the model's predicted time, so the model-drift
   // report can compare Eq. 6 against this machine rank by rank. Both the
@@ -113,6 +113,10 @@ void BasicDistStateVector<T>::exchange_and_combine(qubit_t rank_bit, const kerne
   cluster::fault_point("dist.exchange", comm_->rank());
   const int partner = comm_->rank() ^ static_cast<int>(bits::bit(rank_bit));
   const int my_bit = (comm_->rank() >> rank_bit) & 1;
+  // The partner's chunk lands in scratch, allocated on the first
+  // exchange: states that never exchange a chunk never pay for it, and
+  // sendrecv overwrites every element before the combine reads it.
+  if (scratch_.size() != local_.size()) scratch_ = uninit_aligned_vector<value_type>(local_.size());
   comm_->template sendrecv<value_type>(partner, {local_.data(), local_.size()},
                                        {scratch_.data(), scratch_.size()});
   bytes_comm_ += local_.size() * sizeof(value_type);
@@ -182,11 +186,16 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
     const value_type factor = static_cast<value_type>(
         bits::test(static_cast<index_t>(comm_->rank()), rank_bit) ? d1 : d0);
     if (factor == value_type{T{1}}) return;
-    const auto pos = kernels::sorted_bit_positions(local_cmask, {});
-    const kernels::BitExpander expand{pos};
-    const index_t count = dim(nl_) >> pos.size();
-#pragma omp parallel for schedule(static) if (worth_parallelizing(count))
-    for (index_t j = 0; j < count; ++j) local_[expand(j) | local_cmask] *= factor;
+    if (nl_ == 0) {  // a one-amplitude chunk has no local bit to target
+      local_[0] *= factor;
+      return;
+    }
+    // The amplitudes whose local controls are set scale by `factor`: a
+    // diagonal gate diag(1, factor) on the lowest local control under
+    // the others, or, with no local control, a whole-chunk scale.
+    const auto low = static_cast<qubit_t>(local_cmask != 0 ? std::countr_zero(local_cmask) : 0);
+    kernels::apply_diagonal<T>(local(), nl_, low, local_cmask != 0 ? value_type{T{1}} : factor,
+                               factor, bits::clear(local_cmask, low));
     return;
   }
 
@@ -194,7 +203,7 @@ void BasicDistStateVector<T>::apply_gate(const Gate& g, CommPolicy policy) {
   // bits (it differs only in the target bit), so "skip" decisions agree.
   // Both policies exchange the full chunk, then apply the masked combine.
   if (!globals_satisfied) return;
-  exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask, 0);
+  exchange_and_combine(rank_bit, kernels::u2_cast<T>(target_block(g)), local_cmask);
 }
 
 template <typename T>

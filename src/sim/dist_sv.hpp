@@ -139,14 +139,13 @@ class BasicDistStateVector {
   /// Collective: probability that qubit q reads `one`.
   [[nodiscard]] double outcome_probability(qubit_t q, bool one) const;
 
-  void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask,
-                            index_t global_cmask_bits);
+  void exchange_and_combine(qubit_t rank_bit, const kernels::U2T<T>& u, index_t local_cmask);
 
   cluster::Comm* comm_;
   qubit_t n_;
   qubit_t nl_;
   aligned_vector<value_type> local_;
-  aligned_vector<value_type> scratch_;
+  uninit_aligned_vector<value_type> scratch_;  ///< Partner chunk; sized on first exchange.
   std::uint64_t bytes_comm_ = 0;
 };
 

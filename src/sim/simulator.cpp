@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "engine/backend.hpp"
-
 namespace qc::sim {
 
 using circuit::Gate;
@@ -27,11 +25,6 @@ std::pair<complex_t, complex_t> diagonal_entries(const Gate& g) {
   return {m(0, 0), m(1, 1)};
 }
 
-void Simulator::run(StateVector& sv, const circuit::Circuit& c) const {
-  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
-  for (const Gate& g : c.gates()) apply_gate(sv, g);
-}
-
 template <typename T, bool Par>
 void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& g) {
   using C = basic_complex_t<T>;
@@ -48,14 +41,6 @@ void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const Gate& 
   }
   kernels::apply_generic_masked<T, Par>(a, n, g.targets[0], control_mask(g),
                                         kernels::u2_cast<T>(target_block(g)));
-}
-
-void LiquidLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double, false>(sv.amplitudes(), sv.qubits(), g);
-}
-
-void QhipsterLikeSimulator::apply_gate(StateVector& sv, const Gate& g) const {
-  apply_gate_generic<double>(sv.amplitudes(), sv.qubits(), g);
 }
 
 template <typename T, bool Par>
@@ -95,11 +80,9 @@ void HpcSimulator::apply_gate(StateVector& sv, const Gate& g) const {
   apply_gate_hpc<double>(sv.amplitudes(), sv.qubits(), g);
 }
 
-std::unique_ptr<Simulator> make_simulator(const std::string& name) {
-  // Thin source-compatibility shim: the engine's backend registry is the
-  // single authority on names, and its unknown-name error enumerates
-  // engine::backend_names().
-  return engine::make_gate_simulator(name);
+void HpcSimulator::run(StateVector& sv, const circuit::Circuit& c) const {
+  if (c.qubits() != sv.qubits()) throw std::invalid_argument("run: qubit count mismatch");
+  for (const Gate& g : c.gates()) apply_gate(sv, g);
 }
 
 }  // namespace qc::sim

@@ -1,26 +1,27 @@
-// The three gate-level simulators benchmarked in the paper's §4.5.
+// The gate-to-kernel maps of the three per-gate tiers benchmarked in the
+// paper's §4.5, and the fp64 reference simulator built on the first.
 //
-//  * HpcSimulator — "our simulator": control-folded enumeration, diagonal
-//    and NOT fast paths, native SWAP kernel. This is the baseline the emulator's speedups are measured
-//    against (so those speedups are not artifacts of a slow simulator —
-//    the point of the paper's Figs. 4-6).
+//  * apply_gate_hpc — "our simulator": control-folded enumeration,
+//    diagonal and NOT fast paths, native SWAP kernel. This is the
+//    baseline the emulator's speedups are measured against (so those
+//    speedups are not artifacts of a slow simulator — the point of the
+//    paper's Figs. 4-6).
 //
-//  * QhipsterLikeSimulator — stands in for qHiPSTER: a well-parallelized
+//  * apply_gate_generic — stands in for qHiPSTER: a well-parallelized
 //    but unspecialized simulator. Every gate runs through the generic
 //    masked 2x2 pair kernel (full read+write of the state vector even
 //    for diagonal gates); SWAP is lowered to three CNOTs.
 //
-//  * LiquidLikeSimulator — stands in for LIQUi|>: the same generic
-//    kernel, single-threaded. (LIQUi|> is closed-source .NET; this
-//    models "correct but unspecialized, non-parallel" — see DESIGN.md
-//    for the substitution rationale.)
+//  * apply_gate_generic<T, false> — stands in for LIQUi|>: the same
+//    generic kernel, single-threaded. (LIQUi|> is closed-source .NET;
+//    this models "correct but unspecialized, non-parallel" — see
+//    DESIGN.md for the substitution rationale.)
 //
-// All three produce identical states to 1e-12 on identical circuits;
+// The engine's "hpc", "qhipster-like" and "liquid-like" backend presets
+// are per-gate loops over these three maps (engine/backend.hpp); all
+// three produce identical states to 1e-12 on identical circuits, and
 // the test suite enforces it.
 #pragma once
-
-#include <memory>
-#include <string>
 
 #include "circuit/circuit.hpp"
 #include "sim/kernels.hpp"
@@ -52,46 +53,17 @@ void apply_gate_hpc(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::G
 template <typename T, bool Par = true>
 void apply_gate_generic(std::span<basic_complex_t<T>> a, qubit_t n, const circuit::Gate& g);
 
-class Simulator {
+/// The reference simulator: a per-gate loop over apply_gate_hpc at fp64.
+/// Tests, the emulator's circuit-side helpers and the benchmark probes
+/// use it as the ground truth every backend preset is checked against.
+class HpcSimulator {
  public:
-  virtual ~Simulator() = default;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-
   /// Applies one gate to the state.
-  virtual void apply_gate(StateVector& sv, const circuit::Gate& g) const = 0;
+  void apply_gate(StateVector& sv, const circuit::Gate& g) const;
 
-  /// Applies a whole circuit (overridable for cross-gate optimization).
-  virtual void run(StateVector& sv, const circuit::Circuit& c) const;
+  /// Applies a whole circuit; throws std::invalid_argument on a qubit
+  /// count mismatch.
+  void run(StateVector& sv, const circuit::Circuit& c) const;
 };
-
-class LiquidLikeSimulator final : public Simulator {
- public:
-  [[nodiscard]] std::string name() const override { return "liquid-like"; }
-  void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-};
-
-class QhipsterLikeSimulator final : public Simulator {
- public:
-  [[nodiscard]] std::string name() const override { return "qhipster-like"; }
-  void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-};
-
-class HpcSimulator final : public Simulator {
- public:
-  [[nodiscard]] std::string name() const override { return "hpc"; }
-  void apply_gate(StateVector& sv, const circuit::Gate& g) const override;
-};
-
-/// Factory by name ("hpc", "qhipster-like", "liquid-like", "fused",
-/// "cached") for benches and tools. "fused" is fuse::FusedSimulator —
-/// the gate-fusion backend layered on top of HpcSimulator's fast paths;
-/// "cached" is sched::CachedSimulator — fusion plus cache-blocked sweep
-/// execution. A thin shim over
-/// engine::make_gate_simulator (the backend registry is the authority on
-/// names; unknown names throw std::invalid_argument enumerating the
-/// valid ones). Emulation-only backends like "auto" are not plain
-/// Simulators — run those through engine::Engine.
-std::unique_ptr<Simulator> make_simulator(const std::string& name);
 
 }  // namespace qc::sim

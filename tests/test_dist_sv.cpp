@@ -68,7 +68,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{8, 4, CommPolicy::Exchange}, Case{9, 8, CommPolicy::Specialized},
                       Case{9, 8, CommPolicy::Exchange}, Case{10, 4, CommPolicy::Specialized},
                       // Oversubscribed: more ranks than test-machine cores.
-                      Case{10, 32, CommPolicy::Specialized}));
+                      Case{10, 32, CommPolicy::Specialized},
+                      // One-amplitude chunks: every qubit is a rank bit.
+                      Case{3, 8, CommPolicy::Specialized}));
 
 TEST(DistStateVector, InitialStateIsZeroKet) {
   cluster::Cluster cluster(4, 1);

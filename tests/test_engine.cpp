@@ -7,12 +7,15 @@
 
 #include <cmath>
 #include <numbers>
+#include <numeric>
 
+#include "circuit/builders.hpp"
 #include "emu/emulator.hpp"
 #include "emu/observables.hpp"
 #include "engine/engine.hpp"
 #include "models/perf_model.hpp"
 #include "obs/report.hpp"
+#include "sim/simulator.hpp"
 
 namespace qc::engine {
 namespace {
@@ -115,26 +118,9 @@ TEST(Registry, UnknownBackendErrorEnumeratesNames) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("does-not-exist"), std::string::npos);
-    for (const char* name : {"auto", "fused", "hpc", "liquid-like", "qhipster-like"})
+    for (const std::string& name : backend_names())
       EXPECT_NE(msg.find(name), std::string::npos) << "error should list " << name;
   }
-}
-
-TEST(Registry, MakeSimulatorDelegatesAndEnumerates) {
-  EXPECT_EQ(sim::make_simulator("hpc")->name(), "hpc");
-  EXPECT_EQ(sim::make_simulator("fused")->name(), "fused");
-  try {
-    (void)sim::make_simulator("nope");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    for (const char* name : {"auto", "fused", "hpc", "liquid-like", "qhipster-like"})
-      EXPECT_NE(msg.find(name), std::string::npos) << "error should list " << name;
-  }
-  // "auto" is registered but emulation-only, and "dist" needs its rank
-  // options: neither is a plain Simulator.
-  EXPECT_THROW((void)sim::make_simulator("auto"), std::invalid_argument);
-  EXPECT_THROW((void)sim::make_simulator("dist"), std::invalid_argument);
 }
 
 TEST(Registry, RoundTripCustomBackend) {
@@ -154,8 +140,6 @@ TEST(Registry, RoundTripCustomBackend) {
       register_backend("test-echo",
                        [](const RunOptions&) -> std::unique_ptr<Backend> { return nullptr; }),
       std::invalid_argument);
-  // Not a gate-level sim::Simulator (no sim_factory registered).
-  EXPECT_THROW((void)sim::make_simulator("test-echo"), std::invalid_argument);
 
   Program p(3);
   p.gates(prep_circuit(3));
@@ -166,12 +150,61 @@ TEST(Registry, RoundTripCustomBackend) {
   EXPECT_NEAR(r.state.norm_sq(), 1.0, 1e-12);
 }
 
-TEST(Registry, GateLevelBackendRejectsHighLevelOps) {
+TEST(Registry, PerGatePresetRejectsHighLevelOps) {
   Program p(4);
   p.qft();
   const std::unique_ptr<Backend> hpc = make_backend("hpc");
   sim::StateVector sv(4);
   EXPECT_THROW(hpc->run_highlevel(sv, p.ops()[0]), std::logic_error);
+}
+
+/// Seeded 8-qubit gate program: random_circuit's menu (Toffoli and SWAP
+/// included), with a controlled SWAP and a three-controlled rotation
+/// spliced in after every eighth gate.
+Circuit registry_circuit(std::uint64_t seed) {
+  constexpr qubit_t n = 8;
+  Rng rng(seed);
+  const Circuit base = circuit::random_circuit(n, 96, rng);
+  std::vector<qubit_t> q(n);
+  std::iota(q.begin(), q.end(), qubit_t{0});
+  Circuit c(n);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    c.append(base.gates()[i]);
+    if (i % 8 != 7) continue;
+    for (qubit_t j = 0; j < 5; ++j) std::swap(q[j], q[j + rng.uniform_u64(n - j)]);
+    circuit::Gate cswap = circuit::make_swap(q[0], q[1]);
+    cswap.controls = {q[2]};
+    c.append(cswap);
+    const auto kind = i % 16 == 7 ? circuit::GateKind::Ry : circuit::GateKind::Phase;
+    circuit::Gate mc = circuit::make_gate(kind, q[0], 0.3 + 0.1 * static_cast<double>(i));
+    mc.controls = {q[2], q[3], q[4]};
+    c.append(mc);
+  }
+  return c;
+}
+
+TEST(Registry, EveryBackendMatchesHpcAtBothPrecisions) {
+  // The safety net for the backend presets: any registered name, at
+  // either precision, must reproduce the per-gate fp64 reference.
+  const Engine engine;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Circuit c = registry_circuit(seed);
+    sim::StateVector ref(c.qubits());
+    sim::HpcSimulator().run(ref, c);
+    Program p(c.qubits());
+    p.gates(c);
+    for (const std::string& name : backend_names()) {
+      for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+        RunOptions opts;
+        opts.backend = name;
+        opts.precision = precision;
+        const Result r = engine.run(p, opts);
+        EXPECT_EQ(r.backend, name);
+        EXPECT_LT(r.state.max_abs_diff(ref), precision == Precision::kF64 ? 1e-12 : 1e-6)
+            << name << " at " << precision_bits(precision) << " bits, seed " << seed;
+      }
+    }
+  }
 }
 
 // --- auto vs lowered gate-level agreement (acceptance programs) --------

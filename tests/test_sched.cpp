@@ -2,7 +2,7 @@
 // scheduler's partitioning/coverage invariants, the qubit-remap
 // machinery (swap kernel, unitary re-permutation, restore-to-identity),
 // the kernels' serial and parallel instantiations, and randomized agreement between the
-// "cached" backend and HpcSimulator across qubit counts, chunk widths,
+// "cached" backend preset and HpcSimulator across qubit counts, chunk widths,
 // and remap-triggering workloads.
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -41,13 +41,14 @@ sim::StateVector copy_state(const sim::StateVector& in) {
   return out;
 }
 
-/// max_abs_diff between the cached backend and HpcSimulator on `c`.
-double backend_divergence(const Circuit& c, const CachedSimulator::Options& opts,
+/// max_abs_diff between the "cached" backend preset and HpcSimulator on
+/// `c`, with the fusion and schedule options of `opts`.
+double backend_divergence(const Circuit& c, const engine::RunOptions& opts,
                           std::uint64_t seed) {
   sim::StateVector a = random_state(c.qubits(), seed);
   sim::StateVector b = copy_state(a);
   sim::HpcSimulator().run(a, c);
-  CachedSimulator(opts).run(b, c);
+  engine::make_backend("cached", opts)->run_gates(b, c);
   return a.max_abs_diff(b);
 }
 
@@ -141,9 +142,9 @@ TEST(Schedule, RestoreTakesAtMostTwoRemaps) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     const Circuit c = circuit::random_dense_circuit(20, 120, rng);
-    CachedSimulator::Options opts;
+    engine::RunOptions opts;
     opts.sched.chunk_width = 12;
-    const BlockedPlan plan = CachedSimulator(opts).plan(c);
+    const BlockedPlan plan = cached_plan(c, opts.fusion, opts.sched);
     EXPECT_NO_THROW(verify_plan(plan)) << plan.to_string();
     std::size_t trailing = 0;
     for (auto it = plan.items.rbegin();
@@ -485,7 +486,7 @@ TEST(CachedBackend, AgreesWithHpcAcrossSizesAndChunkWidths) {
     Rng rng(100 + n);
     const Circuit c = circuit::random_circuit(n, 20 * n, rng);
     for (qubit_t chunk : {qubit_t{5}, qubit_t{8}, static_cast<qubit_t>(n + 4)}) {
-      CachedSimulator::Options opts;
+      engine::RunOptions opts;
       opts.sched.chunk_width = chunk;
       EXPECT_LT(backend_divergence(c, opts, 200 + n), 1e-12)
           << "n=" << n << " chunk=" << chunk;
@@ -498,7 +499,7 @@ TEST(CachedBackend, AgreesAtChunkEqualToOpWidth) {
   // chunk (the degenerate one-op-per-chunk schedule).
   Rng rng(9);
   const Circuit c = circuit::random_dense_circuit(12, 150, rng);
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.fusion.max_width = 5;
   opts.sched.max_block_width = 5;
   opts.sched.chunk_width = 5;
@@ -507,16 +508,16 @@ TEST(CachedBackend, AgreesAtChunkEqualToOpWidth) {
 
 TEST(CachedBackend, AgreesOnHighQubitQftWithRemaps) {
   const Circuit c = high_qubit_qft(13, 6);
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.sched.chunk_width = 6;
-  const BlockedPlan plan = CachedSimulator(opts).plan(c);
+  const BlockedPlan plan = cached_plan(c, opts.fusion, opts.sched);
   ASSERT_GE(plan.remaps(), 2u) << plan.to_string();
   EXPECT_LT(backend_divergence(c, opts, 77), 1e-12);
 }
 
 TEST(CachedBackend, AgreesOnFullQftBothOrders) {
   for (qubit_t n : {qubit_t{10}, qubit_t{13}}) {
-    CachedSimulator::Options opts;
+    engine::RunOptions opts;
     opts.sched.chunk_width = 7;
     EXPECT_LT(backend_divergence(circuit::qft(n), opts, n), 1e-12);
     EXPECT_LT(backend_divergence(circuit::inverse_qft(n), opts, n + 1), 1e-12);
@@ -528,7 +529,7 @@ TEST(CachedBackend, AgreesOnDiagonalOnlyCircuit) {
   for (qubit_t q = 0; q < 11; ++q) c.t(q);
   for (qubit_t q = 0; q + 1 < 11; ++q) c.cr(q, q + 1, 0.2 * (q + 1));
   for (qubit_t q = 0; q < 11; ++q) c.rz(q, 0.15 * (q + 3));
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.sched.chunk_width = 6;
   EXPECT_LT(backend_divergence(c, opts, 42), 1e-12);
 }
@@ -536,7 +537,7 @@ TEST(CachedBackend, AgreesOnDiagonalOnlyCircuit) {
 TEST(CachedBackend, AgreesWithFusionDisabled) {
   Rng rng(19);
   const Circuit c = circuit::random_circuit(10, 80, rng);
-  CachedSimulator::Options opts;
+  engine::RunOptions opts;
   opts.fusion.enabled = false;  // every op is a passthrough gate
   opts.sched.chunk_width = 6;
   EXPECT_LT(backend_divergence(c, opts, 20), 1e-12);
@@ -545,7 +546,29 @@ TEST(CachedBackend, AgreesWithFusionDisabled) {
 TEST(CachedBackend, RegisteredInEngineRegistry) {
   const auto names = engine::backend_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "cached"), names.end());
-  EXPECT_EQ(sim::make_simulator("cached")->name(), "cached");
+  EXPECT_EQ(engine::make_backend("cached")->name(), "cached");
+}
+
+TEST(CachedPlan, NarrowsFusionWidthToBlockCap) {
+  // Fusion asks for 5-qubit blocks; the in-cache cap of 3 must win.
+  Rng rng(29);
+  const Circuit c = circuit::random_dense_circuit(12, 200, rng);
+  engine::RunOptions opts;
+  opts.fusion.max_width = 5;
+  opts.fusion.cost_gate = false;
+  opts.sched.max_block_width = 3;
+  opts.sched.chunk_width = 8;
+  const BlockedPlan plan = cached_plan(c, opts.fusion, opts.sched);
+  std::size_t widest = 0;
+  const auto widen = [&](const ChunkOp& op) {
+    if (op.kind != ChunkOp::Kind::Gate) widest = std::max(widest, op.qubits.size());
+  };
+  for (const PlanItem& item : plan.items) {
+    for (const ChunkOp& op : item.ops) widen(op);
+    if (item.kind == PlanItem::Kind::Global) widen(item.global);
+  }
+  EXPECT_EQ(widest, 3u) << plan.to_string();
+  EXPECT_LT(backend_divergence(c, opts, 30), 1e-12);
 }
 
 // --- state vector first-touch init (satellite sanity) ------------------

@@ -1,5 +1,6 @@
-// Tests for the state vector and the three simulators: every kernel is
-// checked against the dense Kronecker operator oracle, the simulators
+// Tests for the state vector and the three per-gate tiers: every kernel
+// is checked against the dense Kronecker operator oracle through the
+// "hpc", "qhipster-like" and "liquid-like" backend presets, the tiers
 // are checked against each other, and state-level operations
 // (measurement, collapse, distributions) against direct computation.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <numbers>
 
 #include "circuit/builders.hpp"
+#include "engine/backend.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state_vector.hpp"
 
@@ -23,6 +25,13 @@ StateVector random_state(qubit_t n, std::uint64_t seed) {
   Rng rng(seed);
   sv.randomize(rng);
   return sv;
+}
+
+/// Applies `g` alone through the registered backend preset `name`.
+void apply_via(const char* name, StateVector& sv, const Gate& g) {
+  Circuit c(sv.qubits());
+  c.append(g);
+  engine::make_backend(name)->run_gates(sv, c);
 }
 
 /// Oracle: applies the dense 2^n x 2^n operator of g by matvec.
@@ -178,7 +187,7 @@ struct GateCase {
 
 class KernelVsOracle : public ::testing::TestWithParam<GateCase> {};
 
-TEST_P(KernelVsOracle, AllThreeSimulatorsMatchDenseOperator) {
+TEST_P(KernelVsOracle, AllThreeTiersMatchDenseOperator) {
   const Gate& g = GetParam().gate;
   const qubit_t n = 5;
   const StateVector in = random_state(n, 1000);
@@ -186,7 +195,7 @@ TEST_P(KernelVsOracle, AllThreeSimulatorsMatchDenseOperator) {
   for (const char* name : {"hpc", "qhipster-like", "liquid-like"}) {
     StateVector sv(n);
     std::copy(in.amplitudes().begin(), in.amplitudes().end(), sv.amplitudes().begin());
-    make_simulator(name)->apply_gate(sv, g);
+    apply_via(name, sv, g);
     EXPECT_LT(sv.max_abs_diff(expected), 1e-13)
         << GetParam().name << " via " << name;
   }
@@ -226,7 +235,7 @@ TEST(Kernels, ControlledSwapMatchesOracle) {
   for (const char* name : {"hpc", "qhipster-like", "liquid-like"}) {
     StateVector sv(5);
     std::copy(in.amplitudes().begin(), in.amplitudes().end(), sv.amplitudes().begin());
-    make_simulator(name)->apply_gate(sv, g);
+    apply_via(name, sv, g);
     EXPECT_LT(sv.max_abs_diff(expected), 1e-13) << name;
   }
 }
@@ -244,9 +253,9 @@ TEST(Kernels, MultiControlledGateMatchesOracle) {
 
 // --- whole-circuit equivalence -----------------------------------------
 
-class SimulatorEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+class TierEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SimulatorEquivalence, RandomCircuitsAgreeAcrossSimulators) {
+TEST_P(TierEquivalence, RandomCircuitsAgreeAcrossTiers) {
   Rng rng(GetParam());
   const qubit_t n = 7;
   const Circuit c = circuit::random_circuit(n, 60, rng);
@@ -255,14 +264,14 @@ TEST_P(SimulatorEquivalence, RandomCircuitsAgreeAcrossSimulators) {
   std::copy(a.amplitudes().begin(), a.amplitudes().end(), b.amplitudes().begin());
   std::copy(a.amplitudes().begin(), a.amplitudes().end(), d.amplitudes().begin());
   HpcSimulator().run(a, c);
-  QhipsterLikeSimulator().run(b, c);
-  LiquidLikeSimulator().run(d, c);
+  engine::make_backend("qhipster-like")->run_gates(b, c);
+  engine::make_backend("liquid-like")->run_gates(d, c);
   EXPECT_LT(a.max_abs_diff(b), 1e-12);
   EXPECT_LT(a.max_abs_diff(d), 1e-12);
   EXPECT_NEAR(a.norm_sq(), 1.0, 1e-11);  // unitarity preserved
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorEquivalence, ::testing::Range<std::uint64_t>(1, 9));
+INSTANTIATE_TEST_SUITE_P(Seeds, TierEquivalence, ::testing::Range<std::uint64_t>(1, 9));
 
 class CircuitVsDense : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -303,10 +312,6 @@ TEST(Simulators, BellStateViaHAndCnot) {
   EXPECT_NEAR(std::abs(sv[3]), 1.0 / std::sqrt(2.0), 1e-14);
   EXPECT_EQ(sv[1], complex_t{});
   EXPECT_EQ(sv[2], complex_t{});
-}
-
-TEST(Simulators, MakeSimulatorRejectsUnknown) {
-  EXPECT_THROW(make_simulator("nonexistent"), std::invalid_argument);
 }
 
 TEST(Simulators, RunRejectsMismatchedQubits) {
